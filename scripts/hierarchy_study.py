@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from socialseq.dataset import sequences_in_groups
 from socialseq.model import Arch
 from socialseq.splits import select_splits
 from socialseq.synth import SynthConfig, generate_corpus
@@ -33,15 +34,9 @@ def main():
     ))
     suite = select_splits(ds.sequences, n_candidates=128, k=1, ratio=0.7, seed=0)
     by_group = ds.by_group()
-
-    def gather(keys):
-        out = []
-        for key in keys:
-            out.extend(by_group[tuple(key)])
-        return out
-
     plan = suite.inner[0]
-    tr, va = gather(plan.train_groups), gather(plan.val_groups)
+    tr = sequences_in_groups(by_group, plan.train_groups)
+    va = sequences_in_groups(by_group, plan.val_groups)
     print(f"train {len(tr)} / val {len(va)} sequences "
           f"(outer test side held out: {suite.outer.val_size})")
 

@@ -10,8 +10,10 @@ and toolkit version so runs are reproducible byte for byte. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,9 @@ from socialseq.dataset import (
     ValidationError,
     load_dataset,
     load_manifest,
+    record_relation,
     save_dataset,
+    sequences_in_groups,
 )
 from socialseq.features import (
     AttributeBlock,
@@ -36,7 +40,7 @@ from socialseq.features import (
     augment,
     compress_attribute,
 )
-from socialseq.model import Arch, forward, load_model, save_model
+from socialseq.model import forward, load_model, save_model
 from socialseq.numerics import Rng
 from socialseq.splits import SplitSuite, load_split_suite, save_split_suite, select_splits
 from socialseq.synth import (
@@ -45,20 +49,15 @@ from socialseq.synth import (
     generate_corpus,
     generate_raw_corpus,
 )
-from socialseq.taxonomy import (
-    domain_from_label,
-    domain_of,
-    infer_domain_distribution,
-    relation_from_label,
-    Domain,
-    Relation,
-)
+from socialseq.taxonomy import Domain, Relation, infer_domain_distribution
 from socialseq.training import (
+    EVAL_MODES,
     TrainConfig,
     TrainingDiverged,
     benchmark_suite,
     evaluate,
     render_benchmark_table,
+    selection_mode,
     train,
 )
 
@@ -67,34 +66,21 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--arch", choices=[a.value for a in Arch], default="st-rel")
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--alpha0", type=float, default=2e-3)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--iterations", type=int, default=150)
-    p.add_argument("--decay-period", type=int, default=50)
-    p.add_argument("--decay-factor", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--augment-multiplier", type=int, default=0)
-    p.add_argument("--augment-sigma", type=float, default=0.01)
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of the config dataclass `cls`, named after the
+    field, typed and defaulted by the field's default (enum fields take the
+    enum's values as choices)."""
+    for f in dataclasses.fields(cls):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, Enum):
+            p.add_argument(flag, choices=[m.value for m in type(f.default)],
+                           default=f.default.value)
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        arch=Arch(args.arch),
-        hidden=args.hidden,
-        alpha0=args.alpha0,
-        dropout=args.dropout,
-        l2=args.l2,
-        iterations=args.iterations,
-        decay_period=args.decay_period,
-        decay_factor=args.decay_factor,
-        seed=args.seed,
-        augment_multiplier=args.augment_multiplier,
-        augment_sigma=args.augment_sigma,
-    )
+def _config_from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -146,9 +132,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", help="only augment the outer train side of this suite")
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--multiplier", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, AugmentConfig)
 
     p = command("train", "train one architecture on one cross-validation split")
     p.add_argument("--dataset", required=True)
@@ -156,7 +140,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--cv-index", type=int, default=0)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--history", help="history JSONL path (default: <out>.history.jsonl)")
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig)
 
     p = command("eval", "evaluate a saved model on a dataset side")
     p.add_argument("--model", required=True)
@@ -165,7 +149,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--side", choices=["all", "test", "pool", "cv-train", "cv-val"],
                    default="all")
     p.add_argument("--cv-index", type=int, default=0)
-    p.add_argument("--mode", choices=["relation-direct", "domain-direct", "domain-inferred"])
+    p.add_argument("--mode", choices=list(EVAL_MODES))
     p.add_argument("--out", help="report JSON path")
 
     p = command("predict", "emit per-sequence probabilities as JSONL")
@@ -180,20 +164,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--table-out", help="rendered table path")
     p.add_argument("--groups", default="none",
                    help="'none', 'default', or a JSON file of attribute-group name lists")
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig)
 
     return parser, parsers
-
-
-def _groups_to_sequences(ds: Dataset, group_keys) -> list[SocialSequence]:
-    by_group = ds.by_group()
-    out = []
-    for key in group_keys:
-        key = tuple(key)
-        if key not in by_group:
-            raise ValidationError(f"split references unknown group {key}")
-        out.extend(by_group[key])
-    return out
 
 
 def _side_sequences(ds: Dataset, suite: SplitSuite | None, side: str,
@@ -202,15 +175,14 @@ def _side_sequences(ds: Dataset, suite: SplitSuite | None, side: str,
         return list(ds.sequences)
     if suite is None:
         raise ValidationError(f"--side {side} requires --split")
-    if side == "test":
-        return _groups_to_sequences(ds, suite.outer.val_groups)
-    if side == "pool":
-        return _groups_to_sequences(ds, suite.outer.train_groups)
-    if not 0 <= cv_index < len(suite.inner):
+    if side in ("test", "pool"):
+        plan = suite.outer
+    elif not 0 <= cv_index < len(suite.inner):
         raise ValidationError(f"--cv-index {cv_index} out of range (k={len(suite.inner)})")
-    plan = suite.inner[cv_index]
-    keys = plan.train_groups if side == "cv-train" else plan.val_groups
-    return _groups_to_sequences(ds, keys)
+    else:
+        plan = suite.inner[cv_index]
+    keys = plan.train_groups if side in ("pool", "cv-train") else plan.val_groups
+    return sequences_in_groups(ds.by_group(), keys)
 
 
 def cmd_synth(args) -> int:
@@ -236,7 +208,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_raw_records(raw_dir: Path) -> list[dict]:
+def _load_raw_records(raw_dir: Path) -> tuple[list[dict], list[Relation]]:
+    """The records of a raw corpus's sequences.json and their checked
+    relations."""
     seq_path = raw_dir / "sequences.json"
     if not seq_path.exists():
         raise ValidationError(f"{seq_path} not found")
@@ -247,26 +221,21 @@ def _load_raw_records(raw_dir: Path) -> list[dict]:
     records = meta.get("sequences")
     if not records:
         raise ValidationError(f"{seq_path}: no sequence records")
+    relations = []
     for rec in records:
         missing = {"id", "user", "day", "relation", "domain", "wearer"} - set(rec)
         if missing:
             raise ValidationError(
                 f"record {rec.get('id', '?')!r}: missing fields {sorted(missing)}"
             )
-        relation = relation_from_label(rec["relation"])
-        declared = domain_from_label(rec["domain"])
-        if domain_of(relation) is not declared:
-            raise ValidationError(
-                f"record {rec['id']!r}: domain {rec['domain']!r} inconsistent with "
-                f"relation {rec['relation']!r}"
-            )
-    return records
+        relations.append(record_relation(rec))
+    return records, relations
 
 
 def cmd_ingest(args) -> int:
     raw_dir = Path(args.raw_dir)
     manifest = load_manifest(raw_dir / "manifest.json")
-    records = _load_raw_records(raw_dir)
+    records, relations = _load_raw_records(raw_dir)
 
     fit_keys = None
     if args.split:
@@ -341,13 +310,13 @@ def cmd_ingest(args) -> int:
         "split": bool(args.split), "manifest_hash": manifest.hash,
     })
     sequences = []
-    for i, rec in enumerate(records):
-        blocks = {name: compressed[name][row_slices[i]] for name in compressed}
+    for rec, relation, rows in zip(records, relations, row_slices):
+        blocks = {name: compressed[name][rows] for name in compressed}
         wearer = WearerInfo(age=rec["wearer"]["age"], gender=rec["wearer"]["gender"])
         frames = assemble_frame_vectors(blocks, wearer, manifest)
         sequences.append(SocialSequence(
             id=rec["id"], user=rec["user"], day=rec["day"],
-            relation=relation_from_label(rec["relation"]), frames=frames,
+            relation=relation, frames=frames,
         ))
     ds = Dataset(manifest=manifest, sequences=sequences,
                  meta={"config_hash": run_hash, "seed": 0,
@@ -368,12 +337,11 @@ def cmd_split(args) -> int:
     if args.dataset:
         sequences = load_dataset(args.dataset).sequences
     else:
-        records = _load_raw_records(Path(args.sequences).parent)
+        records, relations = _load_raw_records(Path(args.sequences).parent)
         sequences = [
             SocialSequence(id=r["id"], user=r["user"], day=r["day"],
-                           relation=relation_from_label(r["relation"]),
-                           frames=np.zeros((1, 1)))
-            for r in records
+                           relation=relation, frames=np.zeros((1, 1)))
+            for r, relation in zip(records, relations)
         ]
     suite = select_splits(sequences, n_candidates=args.candidates, k=args.cv,
                           ratio=args.ratio, seed=args.seed)
@@ -398,17 +366,15 @@ def cmd_augment(args) -> int:
     ds = load_dataset(args.dataset)
     if args.split:
         suite = load_split_suite(args.split)
-        targets = _groups_to_sequences(ds, suite.outer.train_groups)
+        targets = sequences_in_groups(ds.by_group(), suite.outer.train_groups)
     else:
         targets = list(ds.sequences)
-    cfg = AugmentConfig(sigma=args.sigma, multiplier=args.multiplier, seed=args.seed)
+    cfg = _config_from_args(AugmentConfig, args)
     new = augment(targets, cfg, Rng(cfg.seed).split("augment"))
-    run_hash = config_hash({
-        "command": "augment", "sigma": args.sigma, "multiplier": args.multiplier,
-        "seed": args.seed, "split": bool(args.split),
-    })
+    run_hash = config_hash({"command": "augment", **dataclasses.asdict(cfg),
+                            "split": bool(args.split)})
     out_ds = Dataset(manifest=ds.manifest, sequences=list(ds.sequences) + new,
-                     meta={"config_hash": run_hash, "seed": args.seed,
+                     meta={"config_hash": run_hash, "seed": cfg.seed,
                            "toolkit_version": __version__})
     save_dataset(args.out, out_ds)
     print(f"wrote {args.out}: {len(ds.sequences)} original + {len(new)} augmented")
@@ -418,12 +384,9 @@ def cmd_augment(args) -> int:
 def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     suite = load_split_suite(args.split)
-    if not 0 <= args.cv_index < len(suite.inner):
-        raise ValidationError(f"--cv-index {args.cv_index} out of range (k={len(suite.inner)})")
-    plan = suite.inner[args.cv_index]
-    train_seqs = _groups_to_sequences(ds, plan.train_groups)
-    val_seqs = _groups_to_sequences(ds, plan.val_groups)
-    cfg = _train_config(args)
+    train_seqs = _side_sequences(ds, suite, "cv-train", args.cv_index)
+    val_seqs = _side_sequences(ds, suite, "cv-val", args.cv_index)
+    cfg = _config_from_args(TrainConfig, args)
     run_hash = config_hash({"command": "train", "cv_index": args.cv_index,
                             "split_seed": suite.seed, **cfg.to_json()})
     result = train(cfg, train_seqs, val_seqs)
@@ -452,8 +415,7 @@ def cmd_eval(args) -> int:
     model, header = load_model(args.model, expect_manifest_hash=ds.manifest.hash)
     suite = load_split_suite(args.split) if args.split else None
     seqs = _side_sequences(ds, suite, args.side, args.cv_index)
-    mode = args.mode or ("relation-direct" if model.arch.has_relation_head
-                         else "domain-direct")
+    mode = args.mode or selection_mode(model.arch)
     report = evaluate(model, seqs, mode)
     print(f"mode {mode} on {args.side} ({report.n} sequences): "
           f"acc {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}")
@@ -508,7 +470,7 @@ def cmd_benchmark(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read groups file {args.groups}: {exc}") from None
         masks = attribute_group_columns(ds.manifest, groups)
-    cfg = _train_config(args)
+    cfg = _config_from_args(TrainConfig, args)
     rows = benchmark_suite(cfg, ds.by_group(), suite, masks)
     table = render_benchmark_table(rows)
     print(table)
@@ -525,6 +487,29 @@ def cmd_benchmark(args) -> int:
         Path(args.table_out).write_text(table + "\n")
         print(f"wrote {args.table_out}")
     return EXIT_OK
+
+
+def _config_defaults(sp: argparse.ArgumentParser, overrides: dict) -> dict:
+    """Config-file values, converted and checked as the same values given as
+    flags would be."""
+    actions = {action.dest: action for action in sp._actions}
+    unknown = set(overrides) - set(actions)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for key, value in overrides.items():
+        action = actions[key]
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except ValueError:
+                raise ValidationError(f"config key {key!r}: invalid "
+                                      f"{action.type.__name__} value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(f"config key {key!r}: {value!r} is not one of "
+                                  f"{list(action.choices)}")
+        out[key] = value
+    return out
 
 
 _COMMANDS = {
@@ -550,11 +535,7 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 raise ValidationError(f"cannot read config {args.config}: {exc}") from None
             sp = parsers[args.command]
-            valid = {action.dest for action in sp._actions}
-            unknown = set(overrides) - valid
-            if unknown:
-                raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-            sp.set_defaults(**overrides)
+            sp.set_defaults(**_config_defaults(sp, overrides))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

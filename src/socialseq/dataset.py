@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -178,6 +179,35 @@ class Dataset:
         return out
 
 
+def sequences_in_groups(
+    by_group: Mapping[tuple[str, str], Sequence[SocialSequence]], keys: Iterable
+) -> list[SocialSequence]:
+    """The sequences of the given (user, day) groups, in key order."""
+    out: list[SocialSequence] = []
+    for key in keys:
+        key = tuple(key)
+        if key not in by_group:
+            raise ValidationError(f"split references unknown group {key}")
+        out.extend(by_group[key])
+    return out
+
+
+def record_relation(rec: Mapping) -> Relation:
+    """Parse a sequence record's relation label and check that its declared
+    domain label is the relation's parent."""
+    try:
+        relation = relation_from_label(rec["relation"])
+        declared = domain_from_label(rec["domain"])
+    except ValueError as exc:
+        raise ValidationError(f"record {rec['id']!r}: {exc}") from None
+    if domain_of(relation) is not declared:
+        raise ValidationError(
+            f"record {rec['id']!r}: domain {rec['domain']!r} inconsistent with "
+            f"relation {rec['relation']!r} (expected {domain_of(relation).label!r})"
+        )
+    return relation
+
+
 def save_dataset(path, ds: Dataset) -> None:
     records = []
     arrays = []
@@ -215,13 +245,7 @@ def load_dataset(path) -> Dataset:
     manifest = LayoutManifest.from_json(header["manifest"])
     sequences = []
     for rec in header["records"]:
-        relation = relation_from_label(rec["relation"])
-        declared = domain_from_label(rec["domain"])
-        if domain_of(relation) is not declared:
-            raise ValidationError(
-                f"record {rec['id']!r}: domain {rec['domain']!r} inconsistent with "
-                f"relation {rec['relation']!r} (expected {domain_of(relation).label!r})"
-            )
+        relation = record_relation(rec)
         frames = arrays[f"frames/{rec['id']}"]
         if frames.shape[0] != rec["frames"]:
             raise ValidationError(f"record {rec['id']!r}: frame count mismatch")

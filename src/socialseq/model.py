@@ -78,36 +78,6 @@ class LstmParams:
     def input_dim(self) -> int:
         return self.w.shape[1]
 
-    def _gate(self, arr: np.ndarray, g: int) -> np.ndarray:
-        h = self.hidden
-        return arr[g * h:(g + 1) * h]
-
-    # Per-gate views into the stacked arrays.
-    @property
-    def w_input(self): return self._gate(self.w, 0)
-    @property
-    def w_forget(self): return self._gate(self.w, 1)
-    @property
-    def w_output(self): return self._gate(self.w, 2)
-    @property
-    def w_candidate(self): return self._gate(self.w, 3)
-    @property
-    def u_input(self): return self._gate(self.u, 0)
-    @property
-    def u_forget(self): return self._gate(self.u, 1)
-    @property
-    def u_output(self): return self._gate(self.u, 2)
-    @property
-    def u_candidate(self): return self._gate(self.u, 3)
-    @property
-    def b_input(self): return self._gate(self.b, 0)
-    @property
-    def b_forget(self): return self._gate(self.b, 1)
-    @property
-    def b_output(self): return self._gate(self.b, 2)
-    @property
-    def b_candidate(self): return self._gate(self.b, 3)
-
 
 @dataclass(eq=False)
 class ModelParams:

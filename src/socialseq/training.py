@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from socialseq.dataset import SocialSequence
+from socialseq.dataset import SocialSequence, sequences_in_groups
 from socialseq.features import AugmentConfig, augment
 from socialseq.model import (
     Arch,
@@ -27,7 +27,17 @@ from socialseq.model import (
 from socialseq.numerics import Rng
 from socialseq.taxonomy import N_DOMAINS, N_RELATIONS, infer_domain_distribution
 
-EVAL_MODES = ("relation-direct", "domain-direct", "domain-inferred")
+# Evaluation mode -> (head whose probabilities it reads, level it scores).
+# domain-inferred sums the relation head's mass into domains.
+EVAL_MODES = {
+    "relation-direct": ("relation", "relation"),
+    "domain-direct": ("domain", "domain"),
+    "domain-inferred": ("relation", "domain"),
+}
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,9 +96,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -102,7 +109,7 @@ class AdamState:
 def adam_step(params, grads: Mapping[str, np.ndarray], state: AdamState, lr: float):
     """One bias-corrected Adam update, in place. Returns (params, state)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, arr in _named_arrays(params):
@@ -115,7 +122,7 @@ def adam_step(params, grads: Mapping[str, np.ndarray], state: AdamState, lr: flo
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -198,28 +205,20 @@ def evaluate(model: ModelParams, sequences: Sequence[SocialSequence], mode: str)
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if not sequences:
         raise ValueError("cannot evaluate an empty dataset")
-    if mode == "relation-direct" and not model.arch.has_relation_head:
-        raise ValueError(f"mode {mode!r} needs a relation head ({model.arch.value})")
-    if mode == "domain-direct" and not model.arch.has_domain_head:
-        raise ValueError(f"mode {mode!r} needs a domain head ({model.arch.value})")
-    if mode == "domain-inferred" and not model.arch.has_relation_head:
-        raise ValueError(f"mode {mode!r} needs a relation head ({model.arch.value})")
+    head, level = EVAL_MODES[mode]
+    if head not in model.arch.tasks:
+        raise ValueError(f"mode {mode!r} needs a {head} head ({model.arch.value})")
 
     truths = []
     preds = []
     for seq in sequences:
         out = forward(model, seq.frames)
-        if mode == "relation-direct":
-            probs = out.relation_probs
-            truths.append(int(seq.relation))
-        elif mode == "domain-direct":
-            probs = out.domain_probs
-            truths.append(int(seq.domain))
-        else:
-            probs = infer_domain_distribution(out.relation_probs)
-            truths.append(int(seq.domain))
+        probs = out.relation_probs if head == "relation" else out.domain_probs
+        if head != level:
+            probs = infer_domain_distribution(probs)
+        truths.append(int(getattr(seq, level)))
         preds.append(int(np.argmax(probs)))
-    n_classes = N_RELATIONS if mode == "relation-direct" else N_DOMAINS
+    n_classes = N_RELATIONS if level == "relation" else N_DOMAINS
     return report_from_predictions(truths, preds, n_classes, mode)
 
 
@@ -245,8 +244,6 @@ class TrainResult:
     history: list[HistoryRecord]
     best_iteration: int
     best_selection: float
-    config: TrainConfig
-    weights: dict[str, np.ndarray]
 
 
 def task_class_weights(sequences: Sequence[SocialSequence]) -> dict[str, np.ndarray]:
@@ -268,7 +265,6 @@ def train(
     cfg: TrainConfig,
     train_set: Sequence[SocialSequence],
     val_set: Sequence[SocialSequence],
-    weights: dict[str, np.ndarray] | None = None,
 ) -> TrainResult:
     """Full-batch training, deterministic given (cfg, data).
 
@@ -285,8 +281,7 @@ def train(
             sigma=cfg.augment_sigma, multiplier=cfg.augment_multiplier, seed=cfg.seed
         )
         train_seqs += augment(train_seqs, aug_cfg, rng.split("augment"))
-    if weights is None:
-        weights = task_class_weights(train_seqs)
+    weights = task_class_weights(train_seqs)
 
     input_dim = train_seqs[0].frames.shape[1]
     model = init_params(cfg.arch, input_dim, cfg.hidden, rng.split("init"))
@@ -352,8 +347,6 @@ def train(
         history=history,
         best_iteration=best_iter,
         best_selection=best_sel,
-        config=cfg,
-        weights=weights,
     )
 
 
@@ -381,9 +374,9 @@ _STRATEGIES = (
 )
 
 _TASK_MODES = (
-    ("REL", "relation", "relation-direct"),
-    ("DOM", "domain", "domain-direct"),
-    ("DOM-INF", "relation", "domain-inferred"),
+    ("REL", "relation-direct"),
+    ("DOM", "domain-direct"),
+    ("DOM-INF", "domain-inferred"),
 )
 
 
@@ -408,13 +401,10 @@ def benchmark_suite(
         if others:  # ALL is always the union of the named subsets
             subset_cols["ALL"] = np.asarray(sorted(set().union(*others)), dtype=np.intp)
 
-    def gather(keys):
-        out = []
-        for key in keys:
-            out.extend(sequences_by_group[tuple(key)])
-        return out
-
-    test_seqs = gather(suite.outer.val_groups)
+    test_seqs = sequences_in_groups(sequences_by_group, suite.outer.val_groups)
+    folds = [(sequences_in_groups(sequences_by_group, plan.train_groups),
+              sequences_in_groups(sequences_by_group, plan.val_groups))
+             for plan in suite.inner]
     rows: list[BenchmarkRow] = []
     for subset_name, cols in subset_cols.items():
         def masked(seqs):
@@ -425,19 +415,17 @@ def benchmark_suite(
         trained: dict[Arch, list[ModelParams] | Exception] = {}
         for arch in (Arch.ST_REL, Arch.ST_DOM, Arch.MT_IND, Arch.MT_TD):
             try:
-                models = []
-                for plan in suite.inner:
-                    tr = masked(gather(plan.train_groups))
-                    va = masked(gather(plan.val_groups))
-                    models.append(train(replace(cfg, arch=arch), tr, va).model)
-                trained[arch] = models
+                trained[arch] = [
+                    train(replace(cfg, arch=arch), masked(tr), masked(va)).model
+                    for tr, va in folds
+                ]
             except Exception as exc:  # keep the rest of the grid running
                 trained[arch] = exc
 
         mtest = masked(test_seqs)
-        for task_name, head, mode in _TASK_MODES:
+        for task_name, mode in _TASK_MODES:
             for strat_name, archs in _STRATEGIES:
-                arch = archs[head]
+                arch = archs[EVAL_MODES[mode][0]]
                 outcome = trained[arch]
                 if isinstance(outcome, Exception):
                     rows.append(BenchmarkRow(task_name, strat_name, subset_name,

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference oracle and split gathering."""
+"""Shared test utilities: the finite-difference gradient oracle."""
 
 import numpy as np
 
@@ -45,11 +45,3 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
         f = numeric[name]
         rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-6)
         assert rel.max() < tol, f"{name}: worst rel err {rel.max():.2e}"
-
-
-def gather_groups(dataset, keys):
-    by_group = dataset.by_group()
-    out = []
-    for key in keys:
-        out.extend(by_group[tuple(key)])
-    return out

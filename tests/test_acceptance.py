@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from socialseq.cli import main as cli_main
-from socialseq.dataset import SocialSequence
+from socialseq.dataset import SocialSequence, sequences_in_groups
 from socialseq.features import AugmentConfig, augment
 from socialseq.model import Arch, backward, forward, init_params
 from socialseq.numerics import Rng, pca_fit
@@ -27,7 +27,7 @@ from socialseq.taxonomy import (
 )
 from socialseq.training import TrainConfig, evaluate, lr_schedule, macro_f1, train
 
-from helpers import finite_difference_grads, gather_groups, worst_relative_error
+from helpers import finite_difference_grads, worst_relative_error
 
 UNIT_WEIGHTS = {"domain": np.ones(5), "relation": np.ones(9)}
 
@@ -42,7 +42,9 @@ def split_for(ds, ratio=0.8, k=1, seed=0, candidates=128):
     suite = select_splits(ds.sequences, n_candidates=candidates, k=k,
                           ratio=ratio, seed=seed)
     plan = suite.inner[0]
-    return gather_groups(ds, plan.train_groups), gather_groups(ds, plan.val_groups), suite
+    by_group = ds.by_group()
+    return (sequences_in_groups(by_group, plan.train_groups),
+            sequences_in_groups(by_group, plan.val_groups), suite)
 
 
 def test_c01_gradient_fidelity():
@@ -130,7 +132,9 @@ def test_c05_hierarchy_direction():
         domain_sep=2.5, relation_sep=0.8, noise=0.6, within_style="aliased", seed=8,
     ))
     suite = select_splits(ds.sequences, n_candidates=128, k=3, ratio=0.7, seed=0)
-    cv = [(gather_groups(ds, p.train_groups), gather_groups(ds, p.val_groups))
+    by_group = ds.by_group()
+    cv = [(sequences_in_groups(by_group, p.train_groups),
+           sequences_in_groups(by_group, p.val_groups))
           for p in suite.inner]
     wins = 0
     pairs = []

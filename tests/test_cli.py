@@ -1,13 +1,16 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from socialseq.cli import main
+from socialseq.cli import build_parser, main
+from socialseq.container import read_container, write_container
 from socialseq.dataset import Dataset, LayoutManifest, ManifestEntry, load_dataset, save_dataset
+from socialseq.features import AugmentConfig
 from socialseq.model import load_model
 from socialseq.splits import load_split_suite
+from socialseq.training import TrainConfig
 
 
 def run(argv):
@@ -48,6 +51,14 @@ class TestSynthAndSplit:
     def test_split_rejects_missing_dataset(self, tmp_path):
         assert run(["split", "--dataset", tmp_path / "nope.dat",
                     "--out", tmp_path / "s.json"]) == 1
+
+    def test_split_rejects_unknown_relation_in_dataset(self, workdir, tmp_path):
+        header, arrays = read_container(workdir["dataset"])
+        header["records"][0]["relation"] = "strangers"
+        bad = tmp_path / "bad.dat"
+        write_container(bad, header, list(arrays.items()))
+        assert run(["split", "--dataset", bad, "--out", tmp_path / "s.json",
+                    "--candidates", "8"]) == 2
 
     def test_split_file_byte_stable(self, workdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -217,6 +228,16 @@ class TestIngest:
         seq_path.write_text(json.dumps(meta))
         assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat"]) == 2
 
+    def test_unknown_relation_label_rejected(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--raw-dir", raw, "--sequences", "10", "--seed", "6",
+                    "--min-len", "2", "--max-len", "3"]) == 0
+        seq_path = raw / "sequences.json"
+        meta = json.loads(seq_path.read_text())
+        meta["sequences"][0]["relation"] = "strangers"
+        seq_path.write_text(json.dumps(meta))
+        assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat"]) == 2
+
 
 class TestBenchmarkCommand:
     def test_emits_all_rows(self, tmp_path, capsys):
@@ -259,6 +280,30 @@ class TestBenchmarkCommand:
         assert "REL-MT-TD/FACE" in table
 
 
+    def test_split_naming_unknown_group_rejected(self, workdir, tmp_path):
+        suite = json.loads(open(workdir["splits"]).read())
+        suite["outer"]["val_groups"].append(["zz", "zz"])
+        bad = tmp_path / "bad-split.json"
+        bad.write_text(json.dumps(suite))
+        assert run(["benchmark", "--dataset", workdir["dataset"], "--split", bad,
+                    "--hidden", "4", "--iterations", "1"]) == 2
+
+
+class TestDefaultFlags:
+    @pytest.mark.parametrize("argv, cls", [
+        (["train", "--dataset", "d", "--split", "s", "--out", "m"], TrainConfig),
+        (["benchmark", "--dataset", "d", "--split", "s"], TrainConfig),
+        (["augment", "--dataset", "d", "--out", "o"], AugmentConfig),
+    ])
+    def test_default_flags_build_the_default_config(self, argv, cls):
+        parser, _ = build_parser()
+        args = vars(parser.parse_args(argv))
+        cfg = cls(**{f.name: args[f.name] for f in fields(cls)})
+        assert cfg == cls()
+        for f in fields(cls):
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+
+
 class TestConfigFile:
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         ds = tmp_path / "c.dat"
@@ -273,3 +318,32 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["synth", "--config", cfg, "--out", tmp_path / "x.dat"]) == 2
+
+    @pytest.mark.parametrize("command, values", [
+        ("train", {"hidden": 2.5}),
+        ("train", {"arch": "bogus"}),
+        ("eval", {"mode": "bogus"}),
+    ])
+    def test_config_value_checked_like_its_flag(self, workdir, tmp_path, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        flag, value = next(iter(values.items()))
+        if command == "train":
+            argv = ["train", "--dataset", workdir["dataset"], "--split", workdir["splits"],
+                    "--out", tmp_path / "m.bin"]
+        else:
+            argv = ["eval", "--model", workdir["model"], "--dataset", workdir["dataset"]]
+        assert run([*argv, "--config", cfg]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            run([*argv, f"--{flag}", value])
+        assert excinfo.value.code == 2
+
+    def test_config_value_converted_like_its_flag(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha0": 1, "hidden": "4", "iterations": 1}))
+        model = tmp_path / "m.bin"
+        assert run(["train", "--dataset", workdir["dataset"], "--split", workdir["splits"],
+                    "--out", model, "--config", cfg]) == 0
+        config = json.loads(open(f"{model}.history.jsonl").readline())["config"]
+        assert config["alpha0"] == 1.0 and isinstance(config["alpha0"], float)
+        assert config["hidden"] == 4 and config["iterations"] == 1

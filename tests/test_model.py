@@ -34,9 +34,10 @@ def random_model(arch, seed, input_dim=6, hidden=4):
 class TestInit:
     def test_biases_zero_except_forget_gate(self):
         model = random_model(Arch.MT_TD, 99, input_dim=7, hidden=5)
-        lstm = model.lstm
-        assert np.array_equal(lstm.b_forget, np.ones(5))
-        for view in (lstm.b_input, lstm.b_output, lstm.b_candidate):
+        # gates stacked in (input, forget, output, candidate) order
+        b_input, b_forget, b_output, b_candidate = np.split(model.lstm.b, 4)
+        assert np.array_equal(b_forget, np.ones(5))
+        for view in (b_input, b_output, b_candidate):
             assert np.array_equal(view, np.zeros(5))
         assert np.array_equal(model.fc_in.b, np.zeros(5))
         assert np.array_equal(model.head_domain.b, np.zeros(5))
@@ -47,9 +48,9 @@ class TestInit:
         limit_fc = np.sqrt(6.0 / (7 + 5))
         assert np.abs(model.fc_in.w).max() <= limit_fc
         limit_gate = np.sqrt(6.0 / (5 + 5))
-        for view in (model.lstm.w_input, model.lstm.w_forget,
-                     model.lstm.w_output, model.lstm.w_candidate,
-                     model.lstm.u_input, model.lstm.u_candidate):
+        w_input, w_forget, w_output, w_candidate = np.split(model.lstm.w, 4)
+        u_input, _, _, u_candidate = np.split(model.lstm.u, 4)
+        for view in (w_input, w_forget, w_output, w_candidate, u_input, u_candidate):
             assert view.shape == (5, 5)
             assert np.abs(view).max() <= limit_gate
 

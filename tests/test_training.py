@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from socialseq.dataset import SocialSequence
+from socialseq.dataset import SocialSequence, sequences_in_groups
 from socialseq.model import Arch, init_params, save_model
 from socialseq.numerics import Rng
 from socialseq.splits import select_splits
@@ -174,15 +174,9 @@ def tiny_corpus(seed=0, n=54, **kw):
 def split_corpus(ds, seed=0):
     suite = select_splits(ds.sequences, n_candidates=64, k=1, ratio=0.8, seed=seed)
     by_group = ds.by_group()
-
-    def gather(keys):
-        out = []
-        for key in keys:
-            out.extend(by_group[tuple(key)])
-        return out
-
     plan = suite.inner[0]
-    return gather(plan.train_groups), gather(plan.val_groups), suite
+    return (sequences_in_groups(by_group, plan.train_groups),
+            sequences_in_groups(by_group, plan.val_groups), suite)
 
 
 QUICK = dict(hidden=16, iterations=25, seed=3)
@@ -343,10 +337,10 @@ class TestBenchmark:
         _, _, suite = split_corpus(ds)
         real_train = training_mod.train
 
-        def failing_train(cfg, tr, va, weights=None):
+        def failing_train(cfg, tr, va):
             if cfg.arch is Arch.MT_TD:
                 raise RuntimeError("injected failure")
-            return real_train(cfg, tr, va, weights)
+            return real_train(cfg, tr, va)
 
         monkeypatch.setattr(training_mod, "train", failing_train)
         rows = training_mod.benchmark_suite(
