@@ -237,10 +237,14 @@ def cmd_ingest(args) -> int:
     manifest = load_manifest(raw_dir / "manifest.json")
     records, relations = _load_raw_records(raw_dir)
 
-    fit_keys = None
+    fit_records = None
     if args.split:
         suite = load_split_suite(args.split)
-        fit_keys = {tuple(k) for k in suite.outer.train_groups}
+        by_group: dict[tuple[str, str], list[int]] = {}
+        for i, rec in enumerate(records):
+            by_group.setdefault((rec["user"], rec["day"]), []).append(i)
+        # the PCA fit takes its rows in file order, not the split's group order
+        fit_records = sorted(set(sequences_in_groups(by_group, suite.outer.train_groups)))
 
     wearer_names = {e.name for e in manifest.entries if e.name.startswith("wearer-")}
     attr_entries = [e for e in manifest.entries if e.name not in wearer_names]
@@ -265,11 +269,9 @@ def cmd_ingest(args) -> int:
         offset += t_len
 
     fit_rows = None
-    if fit_keys is not None:
+    if fit_records is not None:
         fit_rows = np.concatenate([
-            np.arange(row_slices[i].start, row_slices[i].stop)
-            for i, rec in enumerate(records)
-            if (rec["user"], rec["day"]) in fit_keys
+            np.arange(row_slices[i].start, row_slices[i].stop) for i in fit_records
         ])
         if fit_rows.size == 0:
             raise ValidationError("no frames fall in the split's train groups")

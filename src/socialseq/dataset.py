@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from socialseq.taxonomy import (
 )
 
 FRAME_WIDTH = 459
+
+_Member = TypeVar("_Member")
 
 WEARER_AGE = "wearer-age"
 WEARER_GENDER = "wearer-gender"
@@ -180,10 +182,11 @@ class Dataset:
 
 
 def sequences_in_groups(
-    by_group: Mapping[tuple[str, str], Sequence[SocialSequence]], keys: Iterable
-) -> list[SocialSequence]:
-    """The sequences of the given (user, day) groups, in key order."""
-    out: list[SocialSequence] = []
+    by_group: Mapping[tuple[str, str], Sequence[_Member]], keys: Iterable
+) -> list[_Member]:
+    """The members (sequences, or raw record indices) of the given (user, day)
+    groups, in key order."""
+    out: list[_Member] = []
     for key in keys:
         key = tuple(key)
         if key not in by_group:

@@ -89,9 +89,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+            raise ValidationError("sigma must be >= 0")
         if self.multiplier < 0:
-            raise ValueError("multiplier must be >= 0")
+            raise ValidationError("multiplier must be >= 0")
 
 
 def quantize(block: AttributeBlock, quant_levels: int) -> AttributeBlock:

@@ -143,26 +143,29 @@ def init_params(arch: Arch, input_dim: int, hidden: int, rng: Rng) -> ModelParam
                        head_domain=head_domain, head_relation=head_relation)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-free for any input
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+# 0-d operands: numpy applies these faster than Python floats, same values.
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+# BPTT: the state row, (dc, dh), that scales each gate row (i, f, o, g).
+_GATE_STATE_ROW = np.array([0, 0, 1, 0])
 
 
 @dataclass(eq=False)
 class LstmTrace:
     inputs: np.ndarray  # [T, in]
-    i: np.ndarray  # [T, h] gate activations
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray  # candidate (tanh)
-    c: np.ndarray  # cell states
+    gates: np.ndarray  # [T, 4h] activations: sigmoid i, f, o, tanh candidate g
+    c: np.ndarray  # [T, h] cell states
     tanh_c: np.ndarray
     h: np.ndarray  # hidden states
 
 
 def lstm_forward(params: LstmParams, inputs) -> tuple[np.ndarray, LstmTrace]:
     """Run the LSTM recurrence from zero initial state; returns the final
-    hidden state and the per-timestep activations needed for backprop."""
+    hidden state and the per-timestep activations needed for backprop.
+
+    Each timestep activates its row of the precomputed input projection in
+    place and writes c, tanh(c) and h straight into the trace, a fixed
+    handful of whole-row numpy calls per step."""
     a = np.asarray(inputs, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected [T, in] inputs, got shape {a.shape}")
@@ -171,24 +174,29 @@ def lstm_forward(params: LstmParams, inputs) -> tuple[np.ndarray, LstmTrace]:
     if a.shape[1] != params.input_dim:
         raise ValueError(f"input width {a.shape[1]} != lstm input {params.input_dim}")
     t_len, h = a.shape[0], params.hidden
-    zx = a @ params.w.T + params.b  # input contribution for all t at once
-    gi = np.empty((t_len, h)); gf = np.empty((t_len, h))
-    go = np.empty((t_len, h)); gg = np.empty((t_len, h))
-    cs = np.empty((t_len, h)); tcs = np.empty((t_len, h)); hs = np.empty((t_len, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    for t in range(t_len):
-        z = zx[t] + params.u @ h_prev
-        sig = _sigmoid(z[:3 * h])
-        i, f, o = sig[:h], sig[h:2 * h], sig[2 * h:]
-        g = np.tanh(z[3 * h:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        ht = o * tc
-        gi[t], gf[t], go[t], gg[t] = i, f, o, g
-        cs[t], tcs[t], hs[t] = c, tc, ht
-        h_prev, c_prev = ht, c
-    trace = LstmTrace(inputs=a, i=gi, f=gf, o=go, g=gg, c=cs, tanh_c=tcs, h=hs)
+    gates = a @ params.w.T + params.b  # input contribution for all t at once
+    cs, tcs, hs = np.empty((3, t_len, h))
+    rec = np.empty(4 * h)
+    ig = np.empty(h)
+    h_prev = c_prev = np.zeros(h)
+    rows = zip(gates, gates[:, :3 * h], gates[:, :h], gates[:, h:2 * h],
+               gates[:, 2 * h:3 * h], gates[:, 3 * h:], cs, tcs, hs)
+    for z, sig, i, f, o, g, c, tc, h_t in rows:
+        np.matmul(params.u, h_prev, out=rec)
+        z += rec
+        # sigmoid(z) = 0.5 * (1 + tanh(0.5 z)) is overflow-free; one tanh
+        # call covers the three sigmoid gates and the candidate.
+        sig *= _HALF
+        np.tanh(z, out=z)
+        sig += _ONE
+        sig *= _HALF
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_t)
+        h_prev, c_prev = h_t, c
+    trace = LstmTrace(inputs=a, gates=gates, c=cs, tanh_c=tcs, h=hs)
     return hs[-1], trace
 
 
@@ -199,23 +207,44 @@ def lstm_backward(
 
     Returns (dw, du, db, d_inputs)."""
     t_len, h = trace.h.shape
+    gates = trace.gates.reshape(t_len, 4, h)
+    i, f, o, g = gates.transpose(1, 0, 2)
+    tc = trace.tanh_c
+    # Each gate row of dz_t is the product ((left * a) * b) * k, taken left to
+    # right: left = (dc, dc, dh, dc) and, for the rows (i, f, o, g),
+    #   a = (g, c_{t-1}, tanh c, i), b = (i, f, o, 1), k = (1-i, 1-f, 1-o, 1-g^2).
+    # Multiplying by 1 is exact, so every row keeps the plain per-gate
+    # product. a, b and k do not depend on the recurrence and are built for
+    # all t here; each step writes left into factor slot 0.
+    fac = np.empty((t_len, 4, 4, h))  # [t, (left, a, b, k), gate, h]
+    _, fac_a, fac_b, fac_k = fac.transpose(1, 0, 2, 3)
+    fac_a[:, 0] = g
+    fac_a[0, 1] = 0.0
+    fac_a[1:, 1] = trace.c[:-1]
+    fac_a[:, 2] = tc
+    fac_a[:, 3] = i
+    fac_b[:] = gates
+    fac_b[:, 3] = 1.0
+    np.subtract(1.0, gates, out=fac_k)
+    k_g = fac_k[:, 3]
+    np.multiply(g, g, out=k_g)
+    np.subtract(1.0, k_g, out=k_g)
+    d_tanh_c = 1.0 - tc * tc
     dz_all = np.empty((t_len, 4 * h))
-    dh = d_h_last
-    dc = np.zeros(h)
+    state = np.zeros((2, h))
+    dc, dh = state
+    dh[:] = d_h_last
+    tmp = np.empty(h)
     u_t = params.u.T
-    for t in range(t_len - 1, -1, -1):
-        i, f, o, g = trace.i[t], trace.f[t], trace.o[t], trace.g[t]
-        tc = trace.tanh_c[t]
-        c_prev = trace.c[t - 1] if t > 0 else 0.0
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz = dz_all[t]
-        dz[:h] = (dc * g) * i * (1.0 - i)
-        dz[h:2 * h] = (dc * c_prev) * f * (1.0 - f)
-        dz[2 * h:3 * h] = do * o * (1.0 - o)
-        dz[3 * h:] = (dc * i) * (1.0 - g * g)
-        dh = u_t @ dz
-        dc = dc * f
+    rows = zip(fac[::-1], dz_all[::-1], o[::-1], d_tanh_c[::-1], f[::-1])
+    for fac_t, dz, o_t, d_tanh_c_t, f_t in rows:
+        np.multiply(dh, o_t, out=tmp)
+        tmp *= d_tanh_c_t
+        dc += tmp
+        state.take(_GATE_STATE_ROW, axis=0, out=fac_t[0])
+        np.multiply.reduce(fac_t, axis=0, out=dz.reshape(4, h))  # slot by slot, in order
+        np.matmul(u_t, dz, out=dh)
+        dc *= f_t
     # Parameter gradients collapse to single matmuls over the timestep axis;
     # the t=0 recurrent term vanishes because h_{-1} = 0.
     dw = dz_all.T @ trace.inputs
@@ -273,7 +302,8 @@ def forward(
         raise ValueError(f"expected a nonempty [T, {model.input_dim}] array, got {x.shape}")
     if x.shape[1] != model.input_dim:
         raise ValueError(f"frame width {x.shape[1]} != model input {model.input_dim}")
-    a = relu(x @ model.fc_in.w.T + model.fc_in.b)
+    a = x @ model.fc_in.w.T + model.fc_in.b
+    relu(a, out=a)
     h_last, lstm_trace = lstm_forward(model.lstm, a)
 
     mask = None

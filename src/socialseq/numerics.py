@@ -60,14 +60,15 @@ def _key_code(key: int | str) -> int:
 def softmax(logits) -> np.ndarray:
     """Stable softmax of a logit vector (max-subtracted before exp)."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("softmax requires finite logits")
     e = np.exp(z - z.max())
     return e / e.sum()
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu(x, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); `out=x` clips a float64 array in place."""
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
 def kl_divergence(p, q, eps: float = 1e-8) -> float:

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from socialseq.dataset import SocialSequence, sequences_in_groups
+from socialseq.dataset import SocialSequence, ValidationError, sequences_in_groups
 from socialseq.features import AugmentConfig, augment
 from socialseq.model import (
     Arch,
@@ -63,14 +63,14 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "arch", Arch(self.arch))
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ValidationError("iterations must be >= 1")
         for name in ("hidden", "alpha0", "decay_period", "decay_factor"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValidationError(f"{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValidationError("dropout must be in [0, 1)")
         if self.l2 < 0 or self.augment_sigma < 0 or self.augment_multiplier < 0:
-            raise ValueError("l2, augment_sigma and augment_multiplier must be >= 0")
+            raise ValidationError("l2, augment_sigma and augment_multiplier must be >= 0")
 
     def to_json(self) -> dict:
         out = asdict(self)

@@ -238,6 +238,24 @@ class TestIngest:
         seq_path.write_text(json.dumps(meta))
         assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat"]) == 2
 
+    def test_split_naming_unknown_group_rejected(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        splits_path = tmp_path / "splits.json"
+        assert run(["synth", "--raw-dir", raw, "--sequences", "12", "--users", "2",
+                    "--days-per-user", "2", "--min-len", "2", "--max-len", "3",
+                    "--seed", "7"]) == 0
+        assert run(["split", "--sequences", raw / "sequences.json",
+                    "--out", splits_path, "--candidates", "16", "--cv", "2",
+                    "--seed", "0"]) == 0
+        suite = json.loads(splits_path.read_text())
+        suite["outer"]["train_groups"].append(["zz", "zz"])
+        splits_path.write_text(json.dumps(suite))
+        capsys.readouterr()
+        assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat",
+                    "--split", splits_path]) == 2
+        assert "split references unknown group ('zz', 'zz')" in capsys.readouterr().err
+        assert not (tmp_path / "x.dat").exists()
+
 
 class TestBenchmarkCommand:
     def test_emits_all_rows(self, tmp_path, capsys):
@@ -337,6 +355,21 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             run([*argv, f"--{flag}", value])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "hidden", 0),
+        ("augment", "multiplier", -1),
+    ])
+    def test_config_range_error_is_a_validation_error(self, workdir, tmp_path, capsys,
+                                                      command, flag, value):
+        argv = [command, "--dataset", workdir["dataset"], "--split", workdir["splits"],
+                "--out", tmp_path / "out.bin"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        for source in ([f"--{flag}", value], ["--config", cfg]):
+            assert run([*argv, *source]) == 2
+            assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out.bin").exists()
 
     def test_config_value_converted_like_its_flag(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"

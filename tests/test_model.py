@@ -16,6 +16,7 @@ from socialseq.model import (
     joint_loss,
     l2_penalty,
     load_model,
+    lstm_backward,
     lstm_forward,
     save_model,
     weighted_cross_entropy,
@@ -307,6 +308,93 @@ class TestBackward:
         out = forward(model, Rng(51).normal(size=(2, 6)))
         with pytest.raises(ValueError):
             backward(model, out.trace, (0, 0), UNIT_WEIGHTS, 0.0, tasks=("domain",))
+
+
+def reference_lstm_forward(params, a):
+    """The LSTM step loop written out plainly, one array per gate."""
+    t_len, h = a.shape[0], params.hidden
+    zx = a @ params.w.T + params.b
+    gates = {name: np.empty((t_len, h)) for name in "ifog"}
+    cs, tcs, hs = np.empty((t_len, h)), np.empty((t_len, h)), np.empty((t_len, h))
+    h_prev, c_prev = np.zeros(h), np.zeros(h)
+    for t in range(t_len):
+        z = zx[t] + params.u @ h_prev
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z[:3 * h]))
+        i, f, o = sig[:h], sig[h:2 * h], sig[2 * h:]
+        g = np.tanh(z[3 * h:])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h_t = o * tc
+        gates["i"][t], gates["f"][t], gates["o"][t], gates["g"][t] = i, f, o, g
+        cs[t], tcs[t], hs[t] = c, tc, h_t
+        h_prev, c_prev = h_t, c
+    return hs[-1], (gates, cs, tcs, hs)
+
+
+def reference_lstm_backward(params, a, ref_trace, d_h_last):
+    """BPTT written out plainly, gate by gate, for the reference forward."""
+    gates, cs, tcs, hs = ref_trace
+    t_len, h = hs.shape
+    dz_all = np.empty((t_len, 4 * h))
+    dh, dc = d_h_last, np.zeros(h)
+    for t in range(t_len - 1, -1, -1):
+        i, f, o, g = gates["i"][t], gates["f"][t], gates["o"][t], gates["g"][t]
+        tc = tcs[t]
+        c_prev = cs[t - 1] if t > 0 else 0.0
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = dz_all[t]
+        dz[:h] = (dc * g) * i * (1.0 - i)
+        dz[h:2 * h] = (dc * c_prev) * f * (1.0 - f)
+        dz[2 * h:3 * h] = do * o * (1.0 - o)
+        dz[3 * h:] = (dc * i) * (1.0 - g * g)
+        dh = params.u.T @ dz
+        dc = dc * f
+    dw = dz_all.T @ a
+    du = dz_all[1:].T @ hs[:-1] if t_len > 1 else np.zeros_like(params.u)
+    return dw, du, dz_all.sum(axis=0), dz_all @ params.w
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestKernelOracle:
+    """The LSTM kernels give exactly the bits of the plain per-gate loops:
+    same floating-point operations in the same order, sign bits included.
+
+    A kernel that reassociates sums (a batched recurrence, say) cannot keep
+    this; such a change replaces the equality with the C01 finite-difference
+    tolerance in the same change."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 9])
+    @pytest.mark.parametrize("hidden", [1, 3, 16])
+    @pytest.mark.parametrize("scale", [0.5, 40.0])
+    def test_bit_identical_to_per_gate_loops(self, t_len, hidden, scale):
+        rng = Rng(1000 * hidden + 10 * t_len + int(scale))
+        d = 5
+        params = LstmParams(w=scale * rng.normal(size=(4 * hidden, d)),
+                            u=scale * rng.normal(size=(4 * hidden, hidden)),
+                            b=scale * rng.normal(size=4 * hidden))
+        a = rng.normal(size=(t_len, d))
+        a[::3] = 0.0  # all-zero input rows, the first one included
+        d_h_last = rng.normal(size=hidden)
+
+        final, trace = lstm_forward(params, a)
+        ref_final, ref_trace = reference_lstm_forward(params, a)
+        _, ref_c, _, ref_h = ref_trace
+        assert_same_bits(final, ref_final)
+        assert_same_bits(trace.c, ref_c)
+        assert_same_bits(trace.h, ref_h)
+        if scale > 1.0:
+            assert np.any((trace.gates == 0.0) | (trace.gates == 1.0))  # saturated
+
+        grads = lstm_backward(params, trace, d_h_last)
+        ref_grads = reference_lstm_backward(params, a, ref_trace, d_h_last)
+        for got, want in zip(grads, ref_grads):
+            assert_same_bits(got, want)
 
 
 class TestSerialization:

@@ -53,6 +53,8 @@ class TestRelu:
         assert np.array_equal(relu([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
         assert np.array_equal(relu([-3.0, -0.5]), [0.0, 0.0])
         assert np.array_equal(relu([1.0, 2.5]), [1.0, 2.5])
+        x = np.array([-1.0, 0.5])
+        assert relu(x, out=x) is x and np.array_equal(x, [0.0, 0.5])
 
 
 @st.composite

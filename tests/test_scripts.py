@@ -29,3 +29,17 @@ def test_hierarchy_study_tiny():
                       "--hidden", 4, "--iterations", 3)
     assert proc.returncode == 0, proc.stderr
     assert "mt-td >= mt-ind on" in proc.stdout
+
+
+def test_artifact_digests_repeat(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        proc = run_script("artifact_digests.py", "--workdir", tmp_path / name, "--size", "tiny")
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    named = {line.split("  ", 1)[1] for line in outputs[0].splitlines()}
+    for artifact in ("ds.dat", "ds.dat.pca", "aug.dat", "model.bin", "model.bin.history.jsonl",
+                     "report-relation-direct.json", "report-domain-inferred.json",
+                     "pred.jsonl", "rows.jsonl", "cli-output.txt"):
+        assert artifact in named
