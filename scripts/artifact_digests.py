@@ -4,7 +4,8 @@ line per file it wrote.
 
     PYTHONPATH=src python scripts/artifact_digests.py --workdir DIR [--size tiny|full]
 
-The chain is synth (raw corpus) -> split -> ingest --split -> augment ->
+The chain is synth (raw corpus) -> split -> ingest --split -> split of the
+ingested dataset (the benchmark pipeline's --cv 3 --ratio 0.6) -> augment ->
 train (mt-td) -> eval in two modes -> predict -> benchmark. Artifacts are
 named relative to DIR, which must be empty or absent, and the CLI's own
 printout is kept as `cli-output.txt` and digested with the rest. Running
@@ -26,6 +27,7 @@ SIZES = {
         "synth": ["--sequences", 24, "--users", 2, "--days-per-user", 3,
                   "--min-len", 2, "--max-len", 5, "--raw-cnn-width", 50],
         "split": ["--candidates", 32, "--cv", 2],
+        "split_dataset": ["--candidates", 32],
         "train": ["--hidden", 8, "--iterations", 3],
         "benchmark": ["--hidden", 4, "--iterations", 2, "--groups", "none"],
     },
@@ -33,6 +35,7 @@ SIZES = {
         "synth": ["--sequences", 108, "--users", 4, "--days-per-user", 5,
                   "--min-len", 2, "--max-len", 12],
         "split": ["--candidates", 500, "--cv", 3],
+        "split_dataset": ["--candidates", 6000],
         "train": ["--hidden", 16, "--iterations", 20],
         "benchmark": ["--hidden", 16, "--iterations", 6, "--groups", "default"],
     },
@@ -52,6 +55,8 @@ def run_chain(size: dict) -> None:
     run(["split", "--sequences", "raw/sequences.json", "--out", "split.json",
          "--seed", 0, *size["split"]])
     run(["ingest", "--raw-dir", "raw", "--out", "ds.dat", "--split", "split.json"])
+    run(["split", "--dataset", "ds.dat", "--out", "split-dataset.json", "--cv", 3,
+         "--ratio", 0.6, "--seed", 0, *size["split_dataset"]])
     run(["augment", "--dataset", "ds.dat", "--split", "split.json", "--out", "aug.dat",
          "--multiplier", 1, "--seed", 0])
     run(["train", "--dataset", "aug.dat", "--split", "split.json", "--out", "model.bin",

@@ -15,6 +15,10 @@ import numpy as np
 MAGIC = b"#socialseq-container v1\n"
 
 
+class ValidationError(ValueError):
+    """Bad input artifact or record; maps to the CLI's validation exit code."""
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -55,17 +59,24 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
     raw = path.read_bytes()
     if not raw.startswith(MAGIC):
-        raise ValueError(f"{path}: not a socialseq container")
+        raise ValidationError(f"{path}: not a socialseq container")
     pos = len(MAGIC)
     hlen = int.from_bytes(raw[pos:pos + 8], "little")
     pos += 8
-    header = json.loads(raw[pos:pos + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[pos:pos + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: damaged container header: {exc}") from None
     pos += hlen
     payload = raw[pos:]
+    entries = header.pop("arrays", [])
+    counts = [int(np.prod(entry["shape"])) for entry in entries]
+    if len(payload) != 8 * sum(counts):
+        raise ValidationError(f"{path}: container payload is {len(payload)} bytes, "
+                              f"its arrays need {8 * sum(counts)}")
     arrays: dict[str, np.ndarray] = {}
-    for entry in header.pop("arrays", []):
+    for entry, count in zip(entries, counts):
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).copy()

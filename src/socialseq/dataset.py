@@ -10,7 +10,13 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from socialseq import __version__
-from socialseq.container import canonical_json, read_container, sha256_hex, write_container
+from socialseq.container import (
+    ValidationError,
+    canonical_json,
+    read_container,
+    sha256_hex,
+    write_container,
+)
 from socialseq.taxonomy import (
     TAXONOMY_VERSION,
     Relation,
@@ -26,10 +32,6 @@ _Member = TypeVar("_Member")
 WEARER_AGE = "wearer-age"
 WEARER_GENDER = "wearer-gender"
 WEARER_FIELDS = (WEARER_AGE, WEARER_GENDER)
-
-
-class ValidationError(ValueError):
-    """Bad input artifact or record; maps to the CLI's validation exit code."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,24 +265,3 @@ def load_dataset(path) -> Dataset:
             )
         )
     return Dataset(manifest=manifest, sequences=sequences, meta=header.get("meta", {}))
-
-
-def export_dataset_text(path, ds: Dataset) -> None:
-    """Lossless text export for debugging: JSON with full-precision floats."""
-    obj = {
-        "manifest": ds.manifest.to_json(),
-        "meta": ds.meta,
-        "sequences": [
-            {
-                "id": s.id,
-                "user": s.user,
-                "day": s.day,
-                "relation": s.relation.label,
-                "domain": s.domain.label,
-                "origin": s.origin,
-                "frames": [[float(v) for v in row] for row in s.frames],
-            }
-            for s in ds.sequences
-        ],
-    }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")

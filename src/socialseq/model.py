@@ -201,11 +201,14 @@ def lstm_forward(params: LstmParams, inputs) -> tuple[np.ndarray, LstmTrace]:
 
 
 def lstm_backward(
-    params: LstmParams, trace: LstmTrace, d_h_last: np.ndarray
+    params: LstmParams, trace: LstmTrace, d_h_last: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BPTT given the gradient at the final hidden state.
 
-    Returns (dw, du, db, d_inputs)."""
+    Returns (dw, du, db, d_inputs). When `out` holds (dw, du, db) arrays of
+    the parameters' shapes, the gradients are written into them and they are
+    the arrays returned."""
     t_len, h = trace.h.shape
     gates = trace.gates.reshape(t_len, 4, h)
     i, f, o, g = gates.transpose(1, 0, 2)
@@ -247,9 +250,15 @@ def lstm_backward(
         dc *= f_t
     # Parameter gradients collapse to single matmuls over the timestep axis;
     # the t=0 recurrent term vanishes because h_{-1} = 0.
-    dw = dz_all.T @ trace.inputs
-    du = dz_all[1:].T @ trace.h[:-1] if t_len > 1 else np.zeros_like(params.u)
-    db = dz_all.sum(axis=0)
+    if out is None:
+        out = (np.empty_like(params.w), np.empty_like(params.u), np.empty_like(params.b))
+    dw, du, db = out
+    np.matmul(dz_all.T, trace.inputs, out=dw)
+    if t_len > 1:
+        np.matmul(dz_all[1:].T, trace.h[:-1], out=du)
+    else:
+        du.fill(0.0)
+    dz_all.sum(axis=0, out=db)
     d_inputs = dz_all @ params.w
     return dw, du, db, d_inputs
 
@@ -401,16 +410,22 @@ def backward(
     weights: Mapping[str, np.ndarray],
     l2: float,
     tasks: tuple[str, ...] | None = None,
-) -> dict[str, np.ndarray]:
+    *,
+    out: Mapping[str, np.ndarray] | None = None,
+) -> Mapping[str, np.ndarray]:
     """Exact gradients of joint_loss w.r.t. every parameter.
 
     In mt-td the relation loss backpropagates through the domain softmax
-    into the domain head and the shared trunk."""
+    into the domain head and the shared trunk. `out`, a map from each
+    parameter name to an array of its shape, receives the gradients in
+    place and is returned; a training loop passes one per call to reuse the
+    buffers across sequences."""
     domain_label, relation_label = labels
     if tasks is None:
         tasks = model.arch.tasks
     tasks = tuple(tasks)
-    grads: dict[str, np.ndarray] = {}
+    grads = out if out is not None else {
+        name: np.empty_like(arr) for name, arr in model.named_arrays()}
     h = model.hidden
     d_hdrop = np.zeros(h)
     dz_domain = np.zeros(N_DOMAINS) if model.head_domain is not None else None
@@ -419,8 +434,8 @@ def backward(
         if "relation" in tasks:
             dz_rel = _ce_softmax_grad(trace.relation_probs, relation_label,
                                       weights["relation"])
-            grads["head_relation.w"] = np.outer(dz_rel, trace.relation_input)
-            grads["head_relation.b"] = dz_rel
+            np.multiply.outer(dz_rel, trace.relation_input, out=grads["head_relation.w"])
+            np.copyto(grads["head_relation.b"], dz_rel)
             d_rel_in = model.head_relation.w.T @ dz_rel
             if model.arch is Arch.MT_TD:
                 d_hdrop += d_rel_in[:h]
@@ -430,8 +445,8 @@ def backward(
             else:
                 d_hdrop += d_rel_in
         else:
-            grads["head_relation.w"] = np.zeros_like(model.head_relation.w)
-            grads["head_relation.b"] = np.zeros_like(model.head_relation.b)
+            grads["head_relation.w"].fill(0.0)
+            grads["head_relation.b"].fill(0.0)
     elif "relation" in tasks:
         raise ValueError("relation loss requested but model has no relation head")
 
@@ -439,21 +454,19 @@ def backward(
         if "domain" in tasks:
             dz_domain += _ce_softmax_grad(trace.domain_probs, domain_label,
                                           weights["domain"])
-        grads["head_domain.w"] = np.outer(dz_domain, trace.h_drop)
-        grads["head_domain.b"] = dz_domain
+        np.multiply.outer(dz_domain, trace.h_drop, out=grads["head_domain.w"])
+        np.copyto(grads["head_domain.b"], dz_domain)
         d_hdrop += model.head_domain.w.T @ dz_domain
     elif "domain" in tasks:
         raise ValueError("domain loss requested but model has no domain head")
 
     d_h_last = d_hdrop * trace.dropout_mask if trace.dropout_mask is not None else d_hdrop
-    dw, du, db, d_a = lstm_backward(model.lstm, trace.lstm, d_h_last)
-    grads["lstm.w"] = dw
-    grads["lstm.u"] = du
-    grads["lstm.b"] = db
+    d_a = lstm_backward(model.lstm, trace.lstm, d_h_last,
+                        out=(grads["lstm.w"], grads["lstm.u"], grads["lstm.b"]))[-1]
 
     d_pre = d_a * (trace.a > 0)
-    grads["fc_in.w"] = d_pre.T @ trace.x
-    grads["fc_in.b"] = d_pre.sum(axis=0)
+    np.matmul(d_pre.T, trace.x, out=grads["fc_in.w"])
+    d_pre.sum(axis=0, out=grads["fc_in.b"])
 
     if l2:
         for name, arr in model.named_arrays():

@@ -108,15 +108,31 @@ class SplitPlan:
         )
 
 
-def make_plan(train: list[DayGroup], val: list[DayGroup], ratio: float) -> SplitPlan:
-    train_size = sum(g.size for g in train)
-    val_size = sum(g.size for g in val)
-    train_counts = sum((g.label_counts for g in train), np.zeros(N_RELATIONS))
-    val_counts = sum((g.label_counts for g in val), np.zeros(N_RELATIONS))
+@dataclass(frozen=True, eq=False)
+class GroupTable:
+    """The groups of one split pool as columns, built once and shared by
+    every proposal drawn over that pool."""
+
+    keys: tuple[tuple[str, str], ...]
+    sizes: tuple[int, ...]
+    label_counts: np.ndarray  # [G, 9]
+    label_total: np.ndarray  # [9], column sums of label_counts
+    total: int
+
+    @classmethod
+    def of(cls, groups: Sequence[DayGroup]) -> "GroupTable":
+        counts = np.array([g.label_counts for g in groups])
+        sizes = tuple(g.size for g in groups)
+        return cls(keys=tuple(g.key for g in groups), sizes=sizes,
+                   label_counts=counts, label_total=counts.sum(axis=0), total=sum(sizes))
+
+
+def _plan(train_groups, val_groups, train_size, val_size, train_counts, val_counts,
+          ratio) -> SplitPlan:
     achieved = train_size / (train_size + val_size)
     plan = SplitPlan(
-        train_groups=tuple(g.key for g in train),
-        val_groups=tuple(g.key for g in val),
+        train_groups=train_groups,
+        val_groups=val_groups,
         train_size=train_size,
         val_size=val_size,
         train_dist=train_counts / train_counts.sum(),
@@ -129,34 +145,58 @@ def make_plan(train: list[DayGroup], val: list[DayGroup], ratio: float) -> Split
     return plan
 
 
-def propose_split(groups: Sequence[DayGroup], ratio: float, rng: Rng) -> SplitPlan:
+def make_plan(train: list[DayGroup], val: list[DayGroup], ratio: float) -> SplitPlan:
+    """The plan for a given assignment of groups to sides; the plain
+    reference that `propose_split` must agree with."""
+    return _plan(
+        tuple(g.key for g in train),
+        tuple(g.key for g in val),
+        sum(g.size for g in train),
+        sum(g.size for g in val),
+        sum((g.label_counts for g in train), np.zeros(N_RELATIONS)),
+        sum((g.label_counts for g in val), np.zeros(N_RELATIONS)),
+        ratio,
+    )
+
+
+def propose_split(table: GroupTable, ratio: float, rng: Rng) -> SplitPlan:
     """Shuffle the groups and greedily fill the train side up to
     ratio * total sequences; the remainder is the val side.
 
     The achieved ratio is reported honestly and flagged when the group
-    granularity puts it outside the tolerance."""
-    if len(groups) < 2:
+    granularity puts it outside the tolerance. Label counts are
+    integer-valued, so the side sums are exact in any order and the plan
+    equals `make_plan` on the same sides, bit for bit."""
+    if len(table.keys) < 2:
         raise ValidationError("need at least 2 groups to split")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    total = sum(g.size for g in groups)
-    target = ratio * total
-    order = rng.permutation(len(groups))
-    train: list[DayGroup] = []
-    val: list[DayGroup] = []
-    filled = 0
+    target = ratio * table.total
+    order = rng.permutation(len(table.keys)).tolist()
+    sizes = table.sizes
+    # Train is the prefix of the order up to the first group that reaches
+    # the target; the first group always goes to train, as target > 0.
+    n_train = train_size = 0
     for idx in order:
-        g = groups[idx]
-        if filled < target:
-            train.append(g)
-            filled += g.size
-        else:
-            val.append(g)
-    if not val:
-        val.append(train.pop())
-    if not train:
-        train.append(val.pop())
-    return make_plan(train, val, ratio)
+        if train_size >= target:
+            break
+        train_size += sizes[idx]
+        n_train += 1
+    if n_train == len(order):  # every group landed in train: the last drawn one is val
+        n_train -= 1
+        train_size -= sizes[order[-1]]
+    train_idx, val_idx = order[:n_train], order[n_train:]
+    keys = table.keys
+    train_counts = table.label_counts[train_idx].sum(axis=0)
+    return _plan(
+        tuple([keys[i] for i in train_idx]),
+        tuple([keys[i] for i in val_idx]),
+        train_size,
+        table.total - train_size,
+        train_counts,
+        table.label_total - train_counts,
+        ratio,
+    )
 
 
 def score_split(plan: SplitPlan) -> float:
@@ -209,9 +249,10 @@ class SplitSuite:
 def _best_candidates(groups, n_candidates, ratio, rng, keep):
     """Draw n_candidates proposals and keep the `keep` distinct assignments
     with the lowest (kl_score, draw index)."""
+    table = GroupTable.of(groups)
     seen: dict[frozenset, tuple[float, int, SplitPlan]] = {}
     for i in range(n_candidates):
-        plan = propose_split(groups, ratio, rng)
+        plan = propose_split(table, ratio, rng)
         key = frozenset(plan.train_groups)
         if key not in seen:
             seen[key] = (plan.kl_score, i, plan)

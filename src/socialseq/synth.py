@@ -187,7 +187,10 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
             base = _relation_base(cfg, protos[name]["domain"],
                                   protos[name]["within"], relation)
             data = base + frame_rng.normal(size=(t_len, w), scale=cfg.noise)
-            np.savetxt(blocks_dir / f"{seq_id}__{name}.txt", data)
+            # np.savetxt's default layout, formatted in one call
+            row_fmt = " ".join(["%.18e"] * w) + "\n"
+            (blocks_dir / f"{seq_id}__{name}.txt").write_text(
+                (row_fmt * t_len) % tuple(data.ravel().tolist()))
         user, day = groups[s % len(groups)]
         records.append({
             "id": seq_id,

@@ -295,6 +295,7 @@ def train(
     best_iter = -1
     n = len(train_seqs)
     labels_cache = [(int(s.domain), int(s.relation)) for s in train_seqs]
+    workspace = {name: np.empty_like(arr) for name, arr in model.named_arrays()}
     for it in range(cfg.iterations):
         for name, arr in model.named_arrays():
             if not np.all(np.isfinite(arr)):
@@ -309,7 +310,8 @@ def train(
             out = forward(model, seq.frames, train=True,
                           dropout_rate=cfg.dropout, rng=drop_rng)
             loss_sum += joint_loss(out, labels, weights, 0.0, model)
-            for name, g in backward(model, out.trace, labels, weights, 0.0).items():
+            grads = backward(model, out.trace, labels, weights, 0.0, out=workspace)
+            for name, g in grads.items():
                 total[name] += g
         mean_loss = loss_sum / n + l2_penalty(model.weight_matrices(), cfg.l2)
         if not np.isfinite(mean_loss):

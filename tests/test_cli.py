@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from socialseq.cli import build_parser, main
-from socialseq.container import read_container, write_container
+from socialseq.container import MAGIC, read_container, write_container
 from socialseq.dataset import Dataset, LayoutManifest, ManifestEntry, load_dataset, save_dataset
 from socialseq.features import AugmentConfig
 from socialseq.model import load_model
@@ -145,6 +145,33 @@ class TestTrainEval:
         assert run(["train", "--dataset", workdir["dataset"],
                     "--split", workdir["splits"], "--cv-index", "5",
                     "--out", tmp_path / "m.bin"]) == 2
+
+
+def damage(raw: bytes, how: str) -> bytes:
+    header_end = len(MAGIC) + 8 + int.from_bytes(raw[len(MAGIC):len(MAGIC) + 8], "little")
+    if how == "truncated-header":
+        return raw[:header_end - 7]
+    if how == "truncated-payload":
+        return raw[:-5]
+    return raw + b"\0" * 8  # trailing bytes
+
+
+class TestDamagedContainer:
+    """A damaged dataset or model is a validation error (exit 2) naming the
+    file; it never loads."""
+
+    @pytest.mark.parametrize("how", ["truncated-header", "truncated-payload", "trailing-bytes"])
+    @pytest.mark.parametrize("artifact", ["dataset", "model"])
+    def test_damaged_artifact_exits_2(self, workdir, tmp_path, capsys, how, artifact):
+        bad = tmp_path / f"bad-{artifact}.bin"
+        bad.write_bytes(damage(workdir[artifact].read_bytes(), how))
+        if artifact == "dataset":
+            argv = ["split", "--dataset", bad, "--out", tmp_path / "s.json", "--candidates", "8"]
+        else:
+            argv = ["eval", "--model", bad, "--dataset", workdir["dataset"],
+                    "--out", tmp_path / "r.json"]
+        assert run(argv) == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestPredict:

@@ -10,7 +10,6 @@ from socialseq.dataset import (
     ManifestEntry,
     SocialSequence,
     ValidationError,
-    export_dataset_text,
     load_dataset,
     load_manifest,
     save_dataset,
@@ -141,15 +140,6 @@ class TestDatasetIO:
                              frames=np.zeros((2, 458)))
         with pytest.raises(ValidationError, match="width"):
             Dataset(manifest=ds.manifest, sequences=ds.sequences + [bad])
-
-    def test_text_export_is_lossless(self, tmp_path):
-        ds = toy_dataset()
-        path = tmp_path / "data.json"
-        export_dataset_text(path, ds)
-        obj = json.loads(path.read_text())
-        assert len(obj["sequences"]) == 6
-        for rec, seq in zip(obj["sequences"], ds.sequences):
-            assert np.array_equal(np.asarray(rec["frames"]), seq.frames)
 
     def test_non_finite_frames_rejected(self):
         with pytest.raises(ValidationError):

@@ -397,6 +397,52 @@ class TestKernelOracle:
             assert_same_bits(got, want)
 
 
+class TestGradientBuffers:
+    """`backward(..., out=)` writes every gradient into the caller's arrays
+    and gives exactly the bits of a call that allocates its own."""
+
+    @staticmethod
+    def case(arch, t_len, seed):
+        model = random_model(arch, seed, hidden=5)
+        rng = Rng(seed + 1)
+        out = forward(model, rng.normal(size=(t_len, 6)), train=True,
+                      dropout_rate=0.3, rng=rng)
+        labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
+        return model, out.trace, labels
+
+    @staticmethod
+    def nan_buffers(model):
+        return {name: np.full_like(arr, np.nan) for name, arr in model.named_arrays()}
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    @pytest.mark.parametrize("t_len", [1, 2, 9])
+    def test_out_is_bit_identical_to_fresh(self, arch, t_len):
+        model, trace, labels = self.case(arch, t_len, 60 + t_len)
+        for tasks in {None, *((task,) for task in arch.tasks)}:
+            fresh = backward(model, trace, labels, UNIT_WEIGHTS, 1e-3, tasks)
+            buffers = self.nan_buffers(model)
+            arrays = dict(buffers)
+            got = backward(model, trace, labels, UNIT_WEIGHTS, 1e-3, tasks, out=buffers)
+            assert got is buffers
+            assert got.keys() == fresh.keys()
+            for name, grad in got.items():
+                assert grad is arrays[name]
+                assert_same_bits(grad, fresh[name])
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    def test_single_step_after_long_sequence_on_same_buffers(self, arch):
+        model, long_trace, long_labels = self.case(arch, 9, 70)
+        _, short_trace, short_labels = self.case(arch, 1, 71)
+        buffers = self.nan_buffers(model)
+        backward(model, long_trace, long_labels, UNIT_WEIGHTS, 0.0, out=buffers)
+        assert np.abs(buffers["lstm.u"]).max() > 0.0
+        got = backward(model, short_trace, short_labels, UNIT_WEIGHTS, 0.0, out=buffers)
+        fresh = backward(model, short_trace, short_labels, UNIT_WEIGHTS, 0.0)
+        assert not got["lstm.u"].any()  # h_{-1} = 0, so a T=1 sequence has dU = 0
+        for name, grad in got.items():
+            assert_same_bits(grad, fresh[name])
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = random_model(Arch.MT_TD, 60)

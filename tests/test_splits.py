@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from socialseq.dataset import SocialSequence, ValidationError
 from socialseq.numerics import Rng, kl_divergence
 from socialseq.splits import (
-    DayGroup,
+    GroupTable,
     group_by_user_day,
     load_split_suite,
     make_plan,
@@ -79,7 +79,7 @@ class TestProposeSplit:
             ("u1", "d1", [Relation.LOVERS, Relation.FRIENDS]),
             ("u2", "d1", [Relation.CLASSMATES, Relation.COLLEAGUES]),
         ])
-        plan = propose_split(groups, 0.5, Rng(0))
+        plan = propose_split(GroupTable.of(groups), 0.5, Rng(0))
         assert plan.train_size == 2 and plan.val_size == 2
         assert len(plan.train_groups) == 1 and len(plan.val_groups) == 1
 
@@ -88,7 +88,7 @@ class TestProposeSplit:
             (f"u{i}", "d", [Relation(i % 9)]) for i in range(10)
         ])
         for s in range(5):
-            plan = propose_split(groups, 0.8, Rng(s))
+            plan = propose_split(GroupTable.of(groups), 0.8, Rng(s))
             assert (plan.train_size, plan.val_size) == (8, 2)
             assert plan.ratio_ok
 
@@ -98,7 +98,7 @@ class TestProposeSplit:
         groups, _ = make_groups([giant] + smalls)
         seen_flagged = False
         for s in range(10):
-            plan = propose_split(groups, 0.8, Rng(s))
+            plan = propose_split(GroupTable.of(groups), 0.8, Rng(s))
             assert plan.train_size > 0 and plan.val_size > 0
             if not plan.ratio_ok:
                 seen_flagged = True
@@ -108,7 +108,7 @@ class TestProposeSplit:
     def test_single_group_rejected(self):
         groups, _ = make_groups([("u", "d", [Relation.LOVERS, Relation.FRIENDS])])
         with pytest.raises(ValidationError):
-            propose_split(groups, 0.8, Rng(0))
+            propose_split(GroupTable.of(groups), 0.8, Rng(0))
 
     @given(st.integers(0, 10_000), st.integers(2, 12), st.floats(0.3, 0.9))
     @settings(max_examples=40)
@@ -120,7 +120,7 @@ class TestProposeSplit:
             for i in range(n_groups)
         ]
         groups, sequences = make_groups(spec)
-        plan = propose_split(groups, ratio, Rng(seed + 1))
+        plan = propose_split(GroupTable.of(groups), ratio, Rng(seed + 1))
         train_keys = set(plan.train_groups)
         val_keys = set(plan.val_groups)
         assert train_keys and val_keys
@@ -130,6 +130,74 @@ class TestProposeSplit:
             assert (s.group_key in train_keys) != (s.group_key in val_keys)
         assert plan.train_size + plan.val_size == len(sequences)
         assert plan.achieved_ratio == plan.train_size / len(sequences)
+
+
+def greedy_reference(groups, ratio, order):
+    """The proposal rule written out over DayGroups: fill train in draw
+    order while it is below ratio * total, and move the last drawn group to
+    val when every group landed in train."""
+    target = ratio * sum(g.size for g in groups)
+    train, val, filled = [], [], 0
+    for idx in order:
+        if filled < target:
+            train.append(groups[idx])
+            filled += groups[idx].size
+        else:
+            val.append(groups[idx])
+    if not val:
+        val.append(train.pop())
+    return train, val
+
+
+def oracle_group_sets():
+    rng = Rng(11)
+    giant = [("u0", "d0", [Relation.LOVERS] * 18)] + [
+        (f"u{i}", "d", [Relation(i % 9)]) for i in range(1, 4)]
+    mixes = [
+        (f"u{i}", f"d{i % 3}", [Relation(int(r)) for r in
+                                rng.integers(0, 3 if i % 2 else 9, size=int(rng.integers(1, 9)))])
+        for i in range(12)
+    ]
+    return {
+        "singletons": [(f"u{i}", "d", [Relation(i % 9)]) for i in range(10)],
+        "two": [("u1", "d1", [Relation.LOVERS] * 3),
+                ("u2", "d1", [Relation.FRIENDS, Relation.CLASSMATES])],
+        "giant": giant,
+        "unequal-mixes": mixes,
+    }
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestProposeSplitOracle:
+    @pytest.mark.parametrize("name", sorted(oracle_group_sets()))
+    def test_equals_make_plan_and_consumes_one_permutation(self, name):
+        groups, _ = make_groups(oracle_group_sets()[name])
+        table = GroupTable.of(groups)
+        for ratio in (0.3, 0.6, 0.8, 0.95):
+            for seed in range(25):
+                rng = Rng(seed)
+                plan = propose_split(table, ratio, rng)
+                twin = Rng(seed)
+                order = twin.permutation(len(groups))
+                ref = make_plan(*greedy_reference(groups, ratio, order), ratio)
+                assert plan.train_groups == ref.train_groups  # draw order kept
+                assert plan.val_groups == ref.val_groups
+                assert (plan.train_size, plan.val_size) == (ref.train_size, ref.val_size)
+                assert bits(plan.train_dist) == bits(ref.train_dist)
+                assert bits(plan.val_dist) == bits(ref.val_dist)
+                assert bits(plan.kl_score) == bits(ref.kl_score)
+                assert bits(plan.achieved_ratio) == bits(ref.achieved_ratio)
+                assert plan.ratio_target == ratio and plan.ratio_ok == ref.ratio_ok
+                assert rng.integers(0, 2**62) == twin.integers(0, 2**62)
+
+    def test_ratio_outside_open_interval_rejected(self):
+        groups, _ = make_groups(oracle_group_sets()["two"])
+        for ratio in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                propose_split(GroupTable.of(groups), ratio, Rng(0))
 
 
 class TestScoreSplit:
