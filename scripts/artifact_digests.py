@@ -4,9 +4,10 @@ line per file it wrote.
 
     PYTHONPATH=src python scripts/artifact_digests.py --workdir DIR [--size tiny|full]
 
-The chain is synth (raw corpus) -> split -> ingest --split -> split of the
-ingested dataset (the benchmark pipeline's --cv 3 --ratio 0.6) -> augment ->
-train (mt-td) -> eval in two modes -> predict -> benchmark. Artifacts are
+The chain is synth (raw corpus) -> split -> ingest --split -> ingest
+without --split (PCA fitted on every frame, written as ds-all.dat) -> split
+of the --split dataset (the benchmark pipeline's --cv 3 --ratio 0.6) ->
+augment -> train (mt-td) -> eval in two modes -> predict -> benchmark. Artifacts are
 named relative to DIR, which must be empty or absent, and the CLI's own
 printout is kept as `cli-output.txt` and digested with the rest. Running
 the script on two versions of the code and diffing the outputs shows
@@ -55,6 +56,7 @@ def run_chain(size: dict) -> None:
     run(["split", "--sequences", "raw/sequences.json", "--out", "split.json",
          "--seed", 0, *size["split"]])
     run(["ingest", "--raw-dir", "raw", "--out", "ds.dat", "--split", "split.json"])
+    run(["ingest", "--raw-dir", "raw", "--out", "ds-all.dat"])
     run(["split", "--dataset", "ds.dat", "--out", "split-dataset.json", "--cv", 3,
          "--ratio", 0.6, "--seed", 0, *size["split_dataset"]])
     run(["augment", "--dataset", "ds.dat", "--split", "split.json", "--out", "aug.dat",

@@ -22,26 +22,20 @@ from socialseq import __version__
 from socialseq.container import config_hash, write_container
 from socialseq.dataset import (
     Dataset,
-    LayoutManifest,
     SocialSequence,
     ValidationError,
     load_dataset,
-    load_manifest,
-    record_relation,
     save_dataset,
     sequences_in_groups,
 )
 from socialseq.features import (
-    AttributeBlock,
     AugmentConfig,
-    CompressionConfig,
-    WearerInfo,
-    assemble_frame_vectors,
     augment,
-    compress_attribute,
+    ingest_raw_corpus,
+    load_raw_records,
 )
 from socialseq.model import forward, load_model, save_model
-from socialseq.numerics import Rng
+from socialseq.numerics import PcaModel, Rng
 from socialseq.splits import SplitSuite, load_split_suite, save_split_suite, select_splits
 from socialseq.synth import (
     SynthConfig,
@@ -64,6 +58,8 @@ from socialseq.training import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+
+VARIANCE_TARGET = 0.90  # ingest's table flags a PCA that keeps less; never enforced
 
 
 def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
@@ -208,129 +204,33 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_raw_records(raw_dir: Path) -> tuple[list[dict], list[Relation]]:
-    """The records of a raw corpus's sequences.json and their checked
-    relations."""
-    seq_path = raw_dir / "sequences.json"
-    if not seq_path.exists():
-        raise ValidationError(f"{seq_path} not found")
-    try:
-        meta = json.loads(seq_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{seq_path}: invalid JSON: {exc}") from None
-    records = meta.get("sequences")
-    if not records:
-        raise ValidationError(f"{seq_path}: no sequence records")
-    relations = []
-    for rec in records:
-        missing = {"id", "user", "day", "relation", "domain", "wearer"} - set(rec)
-        if missing:
-            raise ValidationError(
-                f"record {rec.get('id', '?')!r}: missing fields {sorted(missing)}"
-            )
-        relations.append(record_relation(rec))
-    return records, relations
-
-
 def cmd_ingest(args) -> int:
-    raw_dir = Path(args.raw_dir)
-    manifest = load_manifest(raw_dir / "manifest.json")
-    records, relations = _load_raw_records(raw_dir)
-
-    fit_records = None
-    if args.split:
-        suite = load_split_suite(args.split)
-        by_group: dict[tuple[str, str], list[int]] = {}
-        for i, rec in enumerate(records):
-            by_group.setdefault((rec["user"], rec["day"]), []).append(i)
-        # the PCA fit takes its rows in file order, not the split's group order
-        fit_records = sorted(set(sequences_in_groups(by_group, suite.outer.train_groups)))
-
-    wearer_names = {e.name for e in manifest.entries if e.name.startswith("wearer-")}
-    attr_entries = [e for e in manifest.entries if e.name not in wearer_names]
-
-    # Load raw blocks per record, tracking each record's row slice.
-    raw_blocks: dict[str, list[np.ndarray]] = {e.name: [] for e in attr_entries}
-    row_slices: list[slice] = []
-    offset = 0
-    for rec in records:
-        counts = set()
-        for e in attr_entries:
-            path = raw_dir / "blocks" / f"{rec['id']}__{e.name}.txt"
-            if not path.exists():
-                raise ValidationError(f"record {rec['id']!r}: missing block file {path}")
-            data = np.loadtxt(path, ndmin=2)
-            raw_blocks[e.name].append(data)
-            counts.add(data.shape[0])
-        if len(counts) != 1:
-            raise ValidationError(f"record {rec['id']!r}: blocks disagree on frame count")
-        t_len = counts.pop()
-        row_slices.append(slice(offset, offset + t_len))
-        offset += t_len
-
-    fit_rows = None
-    if fit_records is not None:
-        fit_rows = np.concatenate([
-            np.arange(row_slices[i].start, row_slices[i].stop) for i in fit_records
-        ])
-        if fit_rows.size == 0:
-            raise ValidationError("no frames fall in the split's train groups")
-
-    compressed: dict[str, np.ndarray] = {}
-    pca_arrays: list[tuple[str, np.ndarray]] = []
-    pca_attrs = []
+    fit_groups = load_split_suite(args.split).outer.train_groups if args.split else None
+    ds, pcas = ingest_raw_corpus(args.raw_dir, fit_groups, args.quant_levels)
     print(f"{'attribute':<18} {'raw':>5} {'out':>5} {'explained var':>14}")
-    for e in attr_entries:
-        stacked = np.concatenate(raw_blocks[e.name], axis=0)
-        cfg = CompressionConfig(quant_levels=args.quant_levels, components=e.width)
-        block = AttributeBlock(e.name, stacked, e.is_cnn)
-        out, model = compress_attribute(block, cfg, fit_rows=fit_rows)
-        if out.shape[1] != e.width:
-            raise ValidationError(
-                f"attribute {e.name!r}: produced width {out.shape[1]}, "
-                f"manifest expects {e.width}"
-            )
-        compressed[e.name] = out
-        if model is not None:
-            explained = float(model.explained_variance_ratio.sum())
-            pca_attrs.append(e.name)
-            pca_arrays += [
-                (f"{e.name}/mean", model.mean),
-                (f"{e.name}/components", model.components),
-                (f"{e.name}/eigenvalues", model.eigenvalues),
-                (f"{e.name}/explained_variance_ratio", model.explained_variance_ratio),
-            ]
-            low = " (below target)" if explained < cfg.variance_target else ""
-            print(f"{e.name:<18} {stacked.shape[1]:>5} {e.width:>5} {explained:>13.1%}{low}")
-        else:
-            print(f"{e.name:<18} {stacked.shape[1]:>5} {e.width:>5} {'pass-through':>14}")
-    wearer_width = sum(manifest.entry(n).width for n in wearer_names)
-    print(f"total width: {sum(v.shape[1] for v in compressed.values()) + wearer_width}")
+    for e in ds.manifest.block_entries:
+        if e.name in pcas:
+            pca = pcas[e.name]
+            explained = float(pca.explained_variance_ratio.sum())
+            low = " (below target)" if explained < VARIANCE_TARGET else ""
+            print(f"{e.name:<18} {pca.n_features:>5} {e.width:>5} {explained:>13.1%}{low}")
+        else:  # assembly checked that a pass-through block has its manifest width
+            print(f"{e.name:<18} {e.width:>5} {e.width:>5} {'pass-through':>14}")
+    print(f"total width: {ds.manifest.total_width}")
 
     run_hash = config_hash({
         "command": "ingest", "quant_levels": args.quant_levels,
-        "split": bool(args.split), "manifest_hash": manifest.hash,
+        "split": bool(args.split), "manifest_hash": ds.manifest.hash,
     })
-    sequences = []
-    for rec, relation, rows in zip(records, relations, row_slices):
-        blocks = {name: compressed[name][rows] for name in compressed}
-        wearer = WearerInfo(age=rec["wearer"]["age"], gender=rec["wearer"]["gender"])
-        frames = assemble_frame_vectors(blocks, wearer, manifest)
-        sequences.append(SocialSequence(
-            id=rec["id"], user=rec["user"], day=rec["day"],
-            relation=relation, frames=frames,
-        ))
-    ds = Dataset(manifest=manifest, sequences=sequences,
-                 meta={"config_hash": run_hash, "seed": 0,
-                       "toolkit_version": __version__})
+    ds.meta.update({"config_hash": run_hash, "seed": 0, "toolkit_version": __version__})
     save_dataset(args.out, ds)
-
     pca_path = args.pca_out or f"{args.out}.pca"
     write_container(pca_path, {
         "kind": "pca-bank", "format": 1, "toolkit_version": __version__,
-        "manifest_hash": manifest.hash, "config_hash": run_hash, "seed": 0,
-        "attributes": pca_attrs,
-    }, pca_arrays)
+        "manifest_hash": ds.manifest.hash, "config_hash": run_hash, "seed": 0,
+        "attributes": list(pcas),
+    }, [(f"{name}/{f.name}", getattr(pca, f.name))
+        for name, pca in pcas.items() for f in dataclasses.fields(PcaModel)])
     print(f"wrote {args.out} and {pca_path}")
     return EXIT_OK
 
@@ -339,7 +239,7 @@ def cmd_split(args) -> int:
     if args.dataset:
         sequences = load_dataset(args.dataset).sequences
     else:
-        records, relations = _load_raw_records(Path(args.sequences).parent)
+        records, relations = load_raw_records(args.sequences)
         sequences = [
             SocialSequence(id=r["id"], user=r["user"], day=r["day"],
                            relation=relation, frames=np.zeros((1, 1)))

@@ -115,6 +115,11 @@ class LayoutManifest:
             raise ValidationError(f"unknown manifest entries: {sorted(missing)}")
         return np.asarray(cols, dtype=np.intp)
 
+    @property
+    def block_entries(self) -> tuple[ManifestEntry, ...]:
+        """The entries filled from attribute blocks: all but the wearer slots."""
+        return tuple(e for e in self.entries if e.name not in WEARER_FIELDS)
+
     def entry(self, name: str) -> ManifestEntry:
         for e in self.entries:
             if e.name == name:

@@ -2,24 +2,33 @@
 
 Raw attribute blocks are quantized, CNN blocks compressed per attribute
 with PCA, and everything (plus wearer one-hots) concatenated into the
-459-wide frame vector described by a layout manifest. Augmentation fits a
-PCA on training frames and perturbs along its axes.
+459-wide frame vector described by a layout manifest; `ingest_raw_corpus`
+does all of this for a raw corpus directory. Augmentation fits a PCA on
+training frames and perturbs along its axes.
 """
 
 from __future__ import annotations
 
+import json
+import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from socialseq.dataset import (
     WEARER_AGE,
     WEARER_GENDER,
+    Dataset,
     LayoutManifest,
     SocialSequence,
     ValidationError,
+    load_manifest,
+    record_relation,
+    sequences_in_groups,
 )
 from socialseq.numerics import PcaModel, Rng, pca_fit, pca_transform
+from socialseq.taxonomy import Relation
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,26 +48,17 @@ class AttributeBlock:
             raise ValueError(f"block {self.name!r}: non-finite entries")
         object.__setattr__(self, "data", data)
 
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class CompressionConfig:
     quant_levels: int = 32
     components: int = 50
-    variance_target: float = 0.90  # reporting threshold only, never asserted
 
     def __post_init__(self):
         if self.quant_levels < 2:
-            raise ValueError("quant_levels must be >= 2")
+            raise ValidationError("quant_levels must be >= 2")
         if self.components < 1:
-            raise ValueError("components must be >= 1")
+            raise ValidationError("components must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def compress_attribute(
         rows = q if fit_rows is None else q[np.asarray(fit_rows, dtype=np.intp)]
         k = cfg.components
         if k > min(rows.shape[0], rows.shape[1]):
-            raise ValueError(
+            raise ValidationError(
                 f"block {block.name!r}: k={k} exceeds min(frames={rows.shape[0]}, "
                 f"dim={rows.shape[1]})"
             )
@@ -187,6 +187,115 @@ def assemble_frame_vectors(
     if extra:
         raise ValidationError(f"blocks not in manifest: {sorted(extra)}")
     return np.hstack(parts)
+
+
+def load_raw_records(path) -> tuple[list[dict], list[Relation]]:
+    """The records of a raw corpus's sequences.json and their checked
+    relations. Each record holds an id, user, day, relation, domain and a
+    wearer object of integer age and gender categories."""
+    try:
+        meta = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    records = meta.get("sequences") if isinstance(meta, dict) else None
+    if not isinstance(records, list) or not records:
+        raise ValidationError(f"{path}: no list of sequence records under 'sequences'")
+    relations = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValidationError(f"{path}: record {i} is not an object")
+        missing = {"id", "user", "day", "relation", "domain", "wearer"} - set(rec)
+        if missing:
+            raise ValidationError(
+                f"record {rec.get('id', '?')!r}: missing fields {sorted(missing)}"
+            )
+        wearer = rec["wearer"]
+        # type(...) is int, so neither a JSON float nor a bool passes
+        if not (isinstance(wearer, dict)
+                and all(type(wearer.get(k)) is int for k in ("age", "gender"))):
+            raise ValidationError(f"record {rec['id']!r}: wearer needs integer 'age' "
+                                  f"and 'gender' categories, got {wearer!r}")
+        relations.append(record_relation(rec))
+    return records, relations
+
+
+def ingest_raw_corpus(
+    raw_dir, fit_groups=None, quant_levels: int = 32,
+) -> tuple[Dataset, dict[str, PcaModel]]:
+    """Read a raw corpus directory (manifest.json, sequences.json and one
+    blocks/<id>__<attribute>.txt matrix per record and block entry) into a
+    dataset with empty meta, and the PCA of each CNN attribute in layout
+    order. CNN blocks are quantized and PCA-compressed to their manifest
+    width, fitted on the frames of the `fit_groups` (user, day) groups in
+    file order, or on every frame when None; other blocks pass through.
+    Malformed input raises ValidationError naming the record or file."""
+    raw_dir = Path(raw_dir)
+    manifest = load_manifest(raw_dir / "manifest.json")
+    records, relations = load_raw_records(raw_dir / "sequences.json")
+    attrs = manifest.block_entries
+
+    in_fit = None
+    if fit_groups is not None:
+        by_group: dict[tuple[str, str], list[int]] = {}
+        for i, rec in enumerate(records):
+            by_group.setdefault((rec["user"], rec["day"]), []).append(i)
+        in_fit = np.zeros(len(records), dtype=bool)
+        in_fit[sequences_in_groups(by_group, fit_groups)] = True
+        if not in_fit.any():
+            raise ValidationError("fit_groups select no records")
+
+    raw_blocks: dict[str, list[np.ndarray]] = {e.name: [] for e in attrs}
+    lengths = np.zeros(len(records), dtype=np.intp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
+        for i, rec in enumerate(records):
+            where = f"record {rec['id']!r}"
+            for e in attrs:
+                path = raw_dir / "blocks" / f"{rec['id']}__{e.name}.txt"
+                try:
+                    data = np.loadtxt(path, ndmin=2)
+                except (OSError, ValueError, UserWarning) as exc:
+                    raise ValidationError(f"{where}: cannot read block file {path}: "
+                                          f"{exc}") from None
+                if not np.isfinite(data).all():
+                    raise ValidationError(f"{where}: {path} has non-finite entries")
+                blocks = raw_blocks[e.name]
+                if blocks and data.shape[1] != blocks[0].shape[1]:
+                    raise ValidationError(
+                        f"{where}: {path} has {data.shape[1]} columns, the first "
+                        f"record's {e.name} block has {blocks[0].shape[1]}"
+                    )
+                blocks.append(data)
+            counts = {raw_blocks[e.name][-1].shape[0] for e in attrs}
+            if len(counts) != 1:
+                raise ValidationError(f"{where}: blocks disagree on frame count")
+            lengths[i] = counts.pop()
+
+    fit_rows = None if in_fit is None else np.flatnonzero(np.repeat(in_fit, lengths))
+    compressed: dict[str, np.ndarray] = {}
+    pcas: dict[str, PcaModel] = {}
+    for e in attrs:
+        block = AttributeBlock(e.name, np.concatenate(raw_blocks[e.name]), e.is_cnn)
+        cfg = CompressionConfig(quant_levels=quant_levels, components=e.width)
+        compressed[e.name], model = compress_attribute(block, cfg, fit_rows=fit_rows)
+        if model is not None:
+            pcas[e.name] = model
+
+    ends = np.cumsum(lengths)
+    sequences = []
+    for rec, relation, end, t_len in zip(records, relations, ends, lengths):
+        rows = slice(end - t_len, end)
+        wearer = WearerInfo(age=rec["wearer"]["age"], gender=rec["wearer"]["gender"])
+        try:
+            frames = assemble_frame_vectors(
+                {name: arr[rows] for name, arr in compressed.items()}, wearer, manifest)
+        except ValidationError as exc:
+            raise ValidationError(f"record {rec['id']!r}: {exc}") from None
+        sequences.append(SocialSequence(
+            id=rec["id"], user=rec["user"], day=rec["day"],
+            relation=relation, frames=frames,
+        ))
+    return Dataset(manifest=manifest, sequences=sequences), pcas
 
 
 def augment(

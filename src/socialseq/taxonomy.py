@@ -101,14 +101,14 @@ def relations_in(domain: Domain | int) -> tuple[Relation, ...]:
 def relation_from_label(label: str) -> Relation:
     try:
         return _RELATION_FROM_LABEL[label]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise ValueError(f"unknown relation label {label!r}") from None
 
 
 def domain_from_label(label: str) -> Domain:
     try:
         return _DOMAIN_FROM_LABEL[label]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise ValueError(f"unknown domain label {label!r}") from None
 
 

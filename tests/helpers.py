@@ -1,8 +1,12 @@
-"""Shared test utilities: the finite-difference gradient oracle."""
+"""Shared test utilities: the finite-difference gradient oracle, and a
+small raw corpus with the malformed variants that ingest must reject."""
+
+import json
 
 import numpy as np
 
 from socialseq.model import forward, joint_loss
+from socialseq.synth import SynthConfig, generate_raw_corpus
 
 
 def finite_difference_grads(model, frames, labels, weights, l2, mask=None, eps=1e-5):
@@ -45,3 +49,60 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
         f = numeric[name]
         rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-6)
         assert rel.max() < tol, f"{name}: worst rel err {rel.max():.2e}"
+
+
+def write_raw_corpus(raw_dir):
+    """24 records of 5-8 frames in 6 (user, day) groups, raw CNN width 56."""
+    cfg = SynthConfig(n_sequences=24, users=2, days_per_user=3, min_len=5, max_len=8,
+                      domain_sep=2.0, relation_sep=2.0, seed=3)
+    generate_raw_corpus(cfg, raw_dir, raw_cnn_width=56)
+    return raw_dir
+
+
+def _edit_records(edit):
+    def mutate(raw):
+        path = raw / "sequences.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return mutate
+
+
+def _set_first_record(field, value):
+    def edit(meta):
+        meta["sequences"][0][field] = value
+        return meta
+    return _edit_records(edit)
+
+
+def _edit_blocks(pattern, edit):
+    def mutate(raw):
+        for path in raw.glob(f"blocks/{pattern}"):
+            path.write_text(edit(path.read_text()))
+    return mutate
+
+
+def _drop_columns(keep):
+    return lambda text: "".join(" ".join(line.split()[:keep]) + "\n"
+                                for line in text.splitlines())
+
+
+# (case, mutation of a write_raw_corpus directory, text the error must name)
+MALFORMED_RAW = [
+    ("wearer-empty", _set_first_record("wearer", {}), "'seq0000'"),
+    ("wearer-string", _set_first_record("wearer", "x"), "'seq0000'"),
+    ("age-string", _set_first_record("wearer", {"age": "1", "gender": 0}), "'seq0000'"),
+    ("age-float", _set_first_record("wearer", {"age": 1.5, "gender": 0}), "'seq0000'"),
+    ("age-out-of-range", _set_first_record("wearer", {"age": 9, "gender": 0}), "'seq0000'"),
+    ("relation-list", _set_first_record("relation", []), "'seq0000'"),
+    ("top-level-list", _edit_records(lambda meta: meta["sequences"]), "sequences.json"),
+    ("block-text", _edit_blocks("seq0001__clothing.txt", lambda text: "abc def\n"),
+     "seq0001__clothing.txt"),
+    ("block-nan", _edit_blocks("seq0001__clothing.txt",
+                               lambda text: "nan" + text[text.index(" "):]),
+     "seq0001__clothing.txt"),
+    ("block-one-column-narrower", _edit_blocks("seq0002__activities.txt", _drop_columns(55)),
+     "seq0002__activities.txt"),
+    ("block-empty", _edit_blocks("seq0001__proximity.txt", lambda text: ""),
+     "seq0001__proximity.txt"),
+    ("cnn-narrower-than-manifest", _edit_blocks("*__activities.txt", _drop_columns(40)),
+     "'activities'"),
+]

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from helpers import MALFORMED_RAW, write_raw_corpus
 
 from socialseq.cli import build_parser, main
 from socialseq.container import MAGIC, read_container, write_container
@@ -282,6 +283,40 @@ class TestIngest:
                     "--split", splits_path]) == 2
         assert "split references unknown group ('zz', 'zz')" in capsys.readouterr().err
         assert not (tmp_path / "x.dat").exists()
+
+    @pytest.mark.parametrize("case, mutate, names", MALFORMED_RAW,
+                             ids=[case[0] for case in MALFORMED_RAW])
+    def test_malformed_corpus_exits_2(self, tmp_path, capsys, case, mutate, names):
+        raw = write_raw_corpus(tmp_path / "raw")
+        mutate(raw)
+        capsys.readouterr()
+        assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and names in err
+        assert not (tmp_path / "x.dat").exists()
+        assert not (tmp_path / "x.dat.pca").exists()
+
+    def test_quant_levels_below_two_exits_2(self, tmp_path):
+        raw = write_raw_corpus(tmp_path / "raw")
+        assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat",
+                    "--quant-levels", "1"]) == 2
+
+    def test_split_reads_the_named_sequences_file(self, tmp_path):
+        raw = write_raw_corpus(tmp_path / "raw")
+        argv = ["--candidates", "16", "--cv", "2", "--seed", "0"]
+        assert run(["split", "--sequences", raw / "sequences.json",
+                    "--out", tmp_path / "a.json", *argv]) == 0
+        (raw / "sequences.json").rename(raw / "labels.json")
+        assert run(["split", "--sequences", raw / "labels.json",
+                    "--out", tmp_path / "b.json", *argv]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_split_rejects_sequences_file_without_records_object(self, tmp_path, capsys):
+        path = tmp_path / "sequences.json"
+        path.write_text(json.dumps([{"id": "s0", "user": "u0", "day": "d0"}]))
+        capsys.readouterr()
+        assert run(["split", "--sequences", path, "--out", tmp_path / "s.json"]) == 2
+        assert "sequences.json" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

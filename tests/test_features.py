@@ -1,5 +1,10 @@
+import json
+import re
+import shutil
+
 import numpy as np
 import pytest
+from helpers import MALFORMED_RAW, write_raw_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +17,7 @@ from socialseq.features import (
     assemble_frame_vectors,
     augment,
     compress_attribute,
+    ingest_raw_corpus,
     quantize,
 )
 from socialseq.dataset import SocialSequence
@@ -99,6 +105,12 @@ class TestCompressAttribute:
         with pytest.raises(ValueError):
             compress_attribute(block(np.zeros((3, 2))), CompressionConfig(components=3))
 
+    def test_config_range_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="quant_levels"):
+            CompressionConfig(quant_levels=1)
+        with pytest.raises(ValidationError, match="components"):
+            CompressionConfig(components=0)
+
 
 class TestAssemble:
     def test_manifest_round_trip(self):
@@ -165,6 +177,78 @@ class TestAssemble:
         manifest = default_manifest()
         with pytest.raises(ValidationError):
             WearerInfo(age=5, gender=0).encode(manifest)
+
+
+@pytest.fixture(scope="module")
+def raw_corpus(tmp_path_factory):
+    raw = write_raw_corpus(tmp_path_factory.mktemp("ingest") / "raw")
+    records = json.loads((raw / "sequences.json").read_text())["sequences"]
+    return raw, records
+
+
+def raw_block(raw, rec, name):
+    return np.loadtxt(raw / "blocks" / f"{rec['id']}__{name}.txt", ndmin=2)
+
+
+def quantized_frames(raw, records, name):
+    """One attribute's raw blocks stacked in record order and quantized as
+    ingest quantizes them (over every frame, at the default 32 levels)."""
+    stacked = np.concatenate([raw_block(raw, rec, name) for rec in records])
+    return quantize(block(stacked, name), 32).data
+
+
+class TestIngestRawCorpus:
+    def test_fit_groups_choose_the_pca_rows_in_file_order(self, raw_corpus):
+        raw, records = raw_corpus
+        groups = [("u1", "d0"), ("u0", "d2"), ("u0", "d0")]  # not in file order
+        ds, pcas = ingest_raw_corpus(raw, fit_groups=groups)
+        in_fit = np.repeat([(r["user"], r["day"]) in groups for r in records],
+                           [s.frames.shape[0] for s in ds.sequences])
+        assert 0 < in_fit.sum() < in_fit.size
+        for name, pca in pcas.items():
+            q = quantized_frames(raw, records, name)
+            assert np.array_equal(pca.mean, q[in_fit].mean(axis=0))
+            assert not np.allclose(pca.mean, q.mean(axis=0))
+
+    def test_without_fit_groups_every_frame_is_fitted(self, raw_corpus):
+        raw, records = raw_corpus
+        _, pcas = ingest_raw_corpus(raw)
+        for name, pca in pcas.items():
+            assert np.array_equal(pca.mean, quantized_frames(raw, records, name).mean(axis=0))
+
+    def test_sequences_follow_the_records(self, raw_corpus):
+        raw, records = raw_corpus
+        ds, _ = ingest_raw_corpus(raw)
+        assert [s.id for s in ds.sequences] == [r["id"] for r in records]
+        assert ds.meta == {}
+        ranges = ds.manifest.ranges()
+        for seq, rec in zip(ds.sequences, records):
+            proximity = raw_block(raw, rec, "proximity")
+            t_len = proximity.shape[0]
+            assert seq.frames.shape == (t_len, 459)
+            assert (seq.user, seq.day, seq.relation.label) == (
+                rec["user"], rec["day"], rec["relation"])
+            lo, hi = ranges["proximity"]
+            assert np.array_equal(seq.frames[:, lo:hi], proximity)
+            for slot, key in (("wearer-age", "age"), ("wearer-gender", "gender")):
+                lo, hi = ranges[slot]
+                onehot = np.eye(hi - lo)[rec["wearer"][key]]
+                assert np.array_equal(seq.frames[:, lo:hi], np.tile(onehot, (t_len, 1)))
+
+    def test_pcas_are_the_cnn_entries_in_layout_order(self, raw_corpus):
+        ds, pcas = ingest_raw_corpus(raw_corpus[0])
+        cnn = [e for e in ds.manifest.entries if e.is_cnn]
+        assert list(pcas) == [e.name for e in cnn]
+        for e in cnn:
+            assert pcas[e.name].components.shape == (e.width, 56)
+
+    @pytest.mark.parametrize("case, mutate, names", MALFORMED_RAW,
+                             ids=[case[0] for case in MALFORMED_RAW])
+    def test_malformed_corpus_rejected(self, raw_corpus, tmp_path, case, mutate, names):
+        raw = shutil.copytree(raw_corpus[0], tmp_path / "raw")
+        mutate(raw)
+        with pytest.raises(ValidationError, match=re.escape(names)):
+            ingest_raw_corpus(raw)
 
 
 def make_sequences(rng, n=4, t=6, width=12):
