@@ -4,11 +4,12 @@ line per file it wrote.
 
     PYTHONPATH=src python scripts/artifact_digests.py --workdir DIR [--size tiny|full]
 
-The chain is synth (raw corpus) -> split -> ingest --split -> ingest
-without --split (PCA fitted on every frame, written as ds-all.dat) -> split
-of the --split dataset (the benchmark pipeline's --cv 3 --ratio 0.6) ->
-augment -> train (mt-td) -> eval in two modes -> predict -> benchmark. Artifacts are
-named relative to DIR, which must be empty or absent, and the CLI's own
+The chain is synth (the raw corpus, and the same corpus generated ready
+as corpus.dat) -> split -> ingest --split -> ingest without --split (PCA
+fitted on every frame, written as ds-all.dat) -> split of the --split
+dataset (the benchmark pipeline's --cv 3 --ratio 0.6) -> augment -> train
+(mt-td) -> eval in two modes -> predict -> benchmark. Artifacts are named
+relative to DIR, which must be empty or absent, and the CLI's own
 printout is kept as `cli-output.txt` and digested with the rest. Running
 the script on two versions of the code and diffing the outputs shows
 whether a change kept every artifact byte for byte.
@@ -51,8 +52,8 @@ def run(argv):
 
 def run_chain(size: dict) -> None:
     """The CLI chain, run in the current directory."""
-    run(["synth", "--raw-dir", "raw", "--domain-sep", 2.0, "--relation-sep", 2.0,
-         "--noise", 0.5, "--seed", 0, *size["synth"]])
+    run(["synth", "--raw-dir", "raw", "--out", "corpus.dat", "--domain-sep", 2.0,
+         "--relation-sep", 2.0, "--noise", 0.5, "--seed", 0, *size["synth"]])
     run(["split", "--sequences", "raw/sequences.json", "--out", "split.json",
          "--seed", 0, *size["split"]])
     run(["ingest", "--raw-dir", "raw", "--out", "ds.dat", "--split", "split.json"])

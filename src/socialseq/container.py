@@ -67,6 +67,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[pos:pos + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path}: damaged container header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: damaged container header: not a JSON object")
     pos += hlen
     payload = raw[pos:]
     entries = header.pop("arrays", [])

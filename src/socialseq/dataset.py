@@ -252,21 +252,19 @@ def load_dataset(path) -> Dataset:
     header, arrays = read_container(path)
     if header.get("kind") != "dataset":
         raise ValidationError(f"{path}: not a dataset container")
-    manifest = LayoutManifest.from_json(header["manifest"])
-    sequences = []
-    for rec in header["records"]:
-        relation = record_relation(rec)
-        frames = arrays[f"frames/{rec['id']}"]
-        if frames.shape[0] != rec["frames"]:
-            raise ValidationError(f"record {rec['id']!r}: frame count mismatch")
-        sequences.append(
-            SocialSequence(
-                id=rec["id"],
-                user=rec["user"],
-                day=rec["day"],
-                relation=relation,
-                frames=frames,
-                origin=rec.get("origin"),
-            )
-        )
-    return Dataset(manifest=manifest, sequences=sequences, meta=header.get("meta", {}))
+    try:
+        manifest = LayoutManifest.from_json(header["manifest"])
+        sequences = []
+        for rec in header["records"]:
+            relation = record_relation(rec)
+            frames = arrays[f"frames/{rec['id']}"]
+            if frames.shape[0] != rec["frames"]:
+                raise ValidationError(f"record {rec['id']!r}: frame count mismatch")
+            sequences.append(SocialSequence(id=rec["id"], user=rec["user"], day=rec["day"],
+                                            relation=relation, frames=frames,
+                                            origin=rec.get("origin")))
+        return Dataset(manifest=manifest, sequences=sequences, meta=header.get("meta", {}))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed dataset: {exc!r}") from None

@@ -96,17 +96,9 @@ class ModelParams:
         return self.lstm.hidden
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "fc_in.w", self.fc_in.w
-        yield "fc_in.b", self.fc_in.b
-        yield "lstm.w", self.lstm.w
-        yield "lstm.u", self.lstm.u
-        yield "lstm.b", self.lstm.b
-        if self.head_domain is not None:
-            yield "head_domain.w", self.head_domain.w
-            yield "head_domain.b", self.head_domain.b
-        if self.head_relation is not None:
-            yield "head_relation.w", self.head_relation.w
-            yield "head_relation.b", self.head_relation.b
+        for name in param_shapes(self.arch, self.input_dim, self.hidden):
+            layer, field = name.split(".")
+            yield name, getattr(getattr(self, layer), field)
 
     def weight_matrices(self) -> Iterator[np.ndarray]:
         for name, arr in self.named_arrays():
@@ -117,30 +109,48 @@ class ModelParams:
         return copy.deepcopy(self)
 
 
-def _glorot(rng: Rng, shape: tuple[int, int]) -> np.ndarray:
-    fan_out, fan_in = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def param_shapes(arch: Arch, input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter array's name and shape, in the order `named_arrays`
+    yields and artifacts store them: the one statement of the four wirings'
+    layouts."""
+    arch = Arch(arch)
+    shapes = {
+        "fc_in.w": (hidden, input_dim), "fc_in.b": (hidden,),
+        "lstm.w": (4 * hidden, hidden), "lstm.u": (4 * hidden, hidden), "lstm.b": (4 * hidden,),
+    }
+    if arch.has_domain_head:
+        shapes.update({"head_domain.w": (N_DOMAINS, hidden), "head_domain.b": (N_DOMAINS,)})
+    if arch.has_relation_head:
+        rel_in = hidden + N_DOMAINS if arch is Arch.MT_TD else hidden
+        shapes.update({"head_relation.w": (N_RELATIONS, rel_in),
+                       "head_relation.b": (N_RELATIONS,)})
+    return shapes
+
+
+def _from_arrays(arch: Arch, arrays: Mapping[str, np.ndarray]) -> ModelParams:
+    def dense(layer):
+        w = arrays.get(f"{layer}.w")
+        return None if w is None else DenseParams(w, arrays[f"{layer}.b"])
+
+    return ModelParams(arch=arch, fc_in=dense("fc_in"),
+                       lstm=LstmParams(arrays["lstm.w"], arrays["lstm.u"], arrays["lstm.b"]),
+                       head_domain=dense("head_domain"), head_relation=dense("head_relation"))
 
 
 def init_params(arch: Arch, input_dim: int, hidden: int, rng: Rng) -> ModelParams:
-    """Uniform Glorot weights, zero biases, forget-gate bias +1."""
+    """Uniform Glorot weights (the LSTM's per gate block), zero biases,
+    forget-gate bias +1."""
     arch = Arch(arch)
-    fc = DenseParams(w=_glorot(rng, (hidden, input_dim)), b=np.zeros(hidden))
-    lstm_w = np.concatenate([_glorot(rng, (hidden, hidden)) for _ in range(4)])
-    lstm_u = np.concatenate([_glorot(rng, (hidden, hidden)) for _ in range(4)])
-    lstm_b = np.zeros(4 * hidden)
-    lstm_b[hidden:2 * hidden] = 1.0
-    lstm = LstmParams(w=lstm_w, u=lstm_u, b=lstm_b)
-    head_domain = None
-    head_relation = None
-    if arch.has_domain_head:
-        head_domain = DenseParams(w=_glorot(rng, (N_DOMAINS, hidden)), b=np.zeros(N_DOMAINS))
-    if arch.has_relation_head:
-        rel_in = hidden + N_DOMAINS if arch is Arch.MT_TD else hidden
-        head_relation = DenseParams(w=_glorot(rng, (N_RELATIONS, rel_in)), b=np.zeros(N_RELATIONS))
-    return ModelParams(arch=arch, fc_in=fc, lstm=lstm,
-                       head_domain=head_domain, head_relation=head_relation)
+    arrays = {}
+    for name, shape in param_shapes(arch, input_dim, hidden).items():
+        if name.endswith(".b"):
+            arrays[name] = np.zeros(shape)
+            continue
+        fan_out = shape[0] // 4 if name.startswith("lstm.") else shape[0]
+        limit = np.sqrt(6.0 / (shape[1] + fan_out))
+        arrays[name] = rng.uniform(-limit, limit, size=shape)
+    arrays["lstm.b"][hidden:2 * hidden] = 1.0
+    return _from_arrays(arch, arrays)
 
 
 # 0-d operands: numpy applies these faster than Python floats, same values.
@@ -283,12 +293,6 @@ class HeadOutputs:
     relation_probs: np.ndarray | None
     trace: ForwardTrace
 
-    def probs(self, task: str) -> np.ndarray:
-        p = self.domain_probs if task == "domain" else self.relation_probs
-        if p is None:
-            raise ValueError(f"model has no {task} head")
-        return p
-
 
 def forward(
     model: ModelParams,
@@ -379,18 +383,17 @@ def joint_loss(
     weights: Mapping[str, np.ndarray],
     l2: float,
     model: ModelParams,
-    tasks: tuple[str, ...] | None = None,
 ) -> float:
-    """Sum of the per-head weighted cross-entropies (equal importance) plus
-    the L2 penalty on weight matrices. `tasks` restricts which head losses
-    are counted; defaults to every head the architecture has."""
+    """Sum of the weighted cross-entropies of every head the model has
+    (equal importance) plus the L2 penalty on weight matrices. A zero
+    class-weight vector takes one head's term out."""
     domain_label, relation_label = labels
-    if tasks is None:
-        tasks = model.arch.tasks
     total = l2_penalty(model.weight_matrices(), l2)
-    for task in tasks:
-        label = domain_label if task == "domain" else relation_label
-        total += weighted_cross_entropy(outputs.probs(task), label, weights[task])
+    if outputs.domain_probs is not None:
+        total += weighted_cross_entropy(outputs.domain_probs, domain_label, weights["domain"])
+    if outputs.relation_probs is not None:
+        total += weighted_cross_entropy(outputs.relation_probs, relation_label,
+                                        weights["relation"])
     return total
 
 
@@ -409,7 +412,6 @@ def backward(
     labels: tuple[int, int],
     weights: Mapping[str, np.ndarray],
     l2: float,
-    tasks: tuple[str, ...] | None = None,
     *,
     out: Mapping[str, np.ndarray] | None = None,
 ) -> Mapping[str, np.ndarray]:
@@ -421,9 +423,6 @@ def backward(
     place and is returned; a training loop passes one per call to reuse the
     buffers across sequences."""
     domain_label, relation_label = labels
-    if tasks is None:
-        tasks = model.arch.tasks
-    tasks = tuple(tasks)
     grads = out if out is not None else {
         name: np.empty_like(arr) for name, arr in model.named_arrays()}
     h = model.hidden
@@ -431,34 +430,23 @@ def backward(
     dz_domain = np.zeros(N_DOMAINS) if model.head_domain is not None else None
 
     if model.head_relation is not None:
-        if "relation" in tasks:
-            dz_rel = _ce_softmax_grad(trace.relation_probs, relation_label,
-                                      weights["relation"])
-            np.multiply.outer(dz_rel, trace.relation_input, out=grads["head_relation.w"])
-            np.copyto(grads["head_relation.b"], dz_rel)
-            d_rel_in = model.head_relation.w.T @ dz_rel
-            if model.arch is Arch.MT_TD:
-                d_hdrop += d_rel_in[:h]
-                dp = d_rel_in[h:]  # gradient into the domain softmax output
-                pd = trace.domain_probs
-                dz_domain += pd * (dp - np.dot(dp, pd))
-            else:
-                d_hdrop += d_rel_in
+        dz_rel = _ce_softmax_grad(trace.relation_probs, relation_label, weights["relation"])
+        np.multiply.outer(dz_rel, trace.relation_input, out=grads["head_relation.w"])
+        np.copyto(grads["head_relation.b"], dz_rel)
+        d_rel_in = model.head_relation.w.T @ dz_rel
+        if model.arch is Arch.MT_TD:
+            d_hdrop += d_rel_in[:h]
+            dp = d_rel_in[h:]  # gradient into the domain softmax output
+            pd = trace.domain_probs
+            dz_domain += pd * (dp - np.dot(dp, pd))
         else:
-            grads["head_relation.w"].fill(0.0)
-            grads["head_relation.b"].fill(0.0)
-    elif "relation" in tasks:
-        raise ValueError("relation loss requested but model has no relation head")
+            d_hdrop += d_rel_in
 
     if model.head_domain is not None:
-        if "domain" in tasks:
-            dz_domain += _ce_softmax_grad(trace.domain_probs, domain_label,
-                                          weights["domain"])
+        dz_domain += _ce_softmax_grad(trace.domain_probs, domain_label, weights["domain"])
         np.multiply.outer(dz_domain, trace.h_drop, out=grads["head_domain.w"])
         np.copyto(grads["head_domain.b"], dz_domain)
         d_hdrop += model.head_domain.w.T @ dz_domain
-    elif "domain" in tasks:
-        raise ValueError("domain loss requested but model has no domain head")
 
     d_h_last = d_hdrop * trace.dropout_mask if trace.dropout_mask is not None else d_hdrop
     d_a = lstm_backward(model.lstm, trace.lstm, d_h_last,
@@ -493,36 +481,26 @@ def save_model(path, model: ModelParams, *, manifest_hash: str = "",
 
 
 def load_model(path, *, expect_manifest_hash: str | None = None) -> tuple[ModelParams, dict]:
+    """Read a model, refusing one whose arrays are not exactly the names and
+    shapes its header's wiring needs."""
     header, arrays = read_container(path)
     if header.get("kind") != "model":
         raise ValidationError(f"{path}: not a model container")
-    if expect_manifest_hash is not None and header["manifest_hash"] != expect_manifest_hash:
+    found = header.get("manifest_hash")
+    if expect_manifest_hash is not None and found != expect_manifest_hash:
         raise ValidationError(
             f"{path}: layout manifest hash mismatch "
-            f"(model {header['manifest_hash'][:12]}..., dataset {expect_manifest_hash[:12]}...)"
+            f"(model {str(found)[:12]}..., dataset {expect_manifest_hash[:12]}...)"
         )
-    arch = Arch(header["arch"])
-    model = ModelParams(
-        arch=arch,
-        fc_in=DenseParams(w=arrays["fc_in.w"], b=arrays["fc_in.b"]),
-        lstm=LstmParams(w=arrays["lstm.w"], u=arrays["lstm.u"], b=arrays["lstm.b"]),
-        head_domain=(
-            DenseParams(w=arrays["head_domain.w"], b=arrays["head_domain.b"])
-            if arch.has_domain_head else None
-        ),
-        head_relation=(
-            DenseParams(w=arrays["head_relation.w"], b=arrays["head_relation.b"])
-            if arch.has_relation_head else None
-        ),
-    )
-    h = model.hidden
-    if model.head_domain is not None and model.head_domain.w.shape != (N_DOMAINS, h):
-        raise ValidationError(f"{path}: domain head shape {model.head_domain.w.shape}")
-    if model.head_relation is not None:
-        rel_in = h + N_DOMAINS if arch is Arch.MT_TD else h
-        if model.head_relation.w.shape != (N_RELATIONS, rel_in):
-            raise ValidationError(
-                f"{path}: relation head shape {model.head_relation.w.shape} "
-                f"does not match the {arch.value} wiring"
-            )
-    return model, header
+    try:
+        arch = Arch(header["arch"])
+        shapes = param_shapes(arch, header["input_dim"], header["hidden"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad model header: {exc!r}") from None
+    found_shapes = {name: arr.shape for name, arr in arrays.items()}
+    wrong = [f"{name} {found_shapes.get(name, 'missing')} (needs {shapes.get(name, 'none')})"
+             for name in {**shapes, **found_shapes} if found_shapes.get(name) != shapes.get(name)]
+    if wrong:
+        raise ValidationError(f"{path}: arrays do not match the {arch.value} wiring: "
+                              + ", ".join(wrong))
+    return _from_arrays(arch, arrays), header

@@ -304,6 +304,9 @@ def load_split_suite(path) -> SplitSuite:
         obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid split file: {exc}") from None
-    if obj.get("kind") != "split-suite":
+    if not isinstance(obj, dict) or obj.get("kind") != "split-suite":
         raise ValidationError(f"{path}: not a split-suite file")
-    return SplitSuite.from_json(obj)
+    try:
+        return SplitSuite.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed split file: {exc!r}") from None

@@ -18,6 +18,7 @@ import numpy as np
 
 from socialseq.dataset import (
     WEARER_AGE,
+    WEARER_FIELDS,
     WEARER_GENDER,
     Dataset,
     LayoutManifest,
@@ -109,42 +110,52 @@ def _relation_base(cfg: SynthConfig, domain_protos, within_protos,
     return cfg.domain_sep * domain_protos[dom] + cfg.relation_sep * within
 
 
+def _generate(cfg: SynthConfig, attributes):
+    """The one synthetic draw sequence. For (name, width) attributes, yields
+    (id, relation, (user, day), {name: frames}, (age, gender)) per sequence:
+    each attribute's frames are its relation signal plus noise, and
+    sequences are dealt round-robin over relations and (user, day) groups so
+    every class and group is populated."""
+    rng = Rng(cfg.seed)
+    proto_rng = rng.split("prototypes")
+    protos = {name: (proto_rng.normal(size=(5, w)) / np.sqrt(w),
+                     proto_rng.normal(size=(3, w)) / np.sqrt(w))
+              for name, w in attributes}
+    manifest = default_manifest()
+    order = rng.split("labels").permutation(cfg.n_sequences)
+    frame_rng = rng.split("frames")
+    wearer_rng = rng.split("wearer")
+    groups = [(f"u{u}", f"d{d}") for u in range(cfg.users) for d in range(cfg.days_per_user)]
+    for s in range(cfg.n_sequences):
+        relation = Relation(int(order[s]) % 9)
+        t_len = int(frame_rng.integers(cfg.min_len, cfg.max_len + 1))
+        blocks = {name: _relation_base(cfg, *protos[name], relation)
+                  + frame_rng.normal(size=(t_len, w), scale=cfg.noise)
+                  for name, w in attributes}
+        wearer = tuple(int(wearer_rng.integers(0, manifest.entry(name).width))
+                       for name in WEARER_FIELDS)
+        yield f"seq{s:04d}", relation, groups[s % len(groups)], blocks, wearer
+
+
 def generate_corpus(cfg: SynthConfig) -> Dataset:
     """Build a labelled Dataset of 459-wide frame sequences.
 
     Frame = domain_sep * domain prototype + relation_sep * within signal
     + noise * N(0, 1), with wearer columns overwritten by a per-sequence
-    one-hot. Sequences are dealt round-robin over relations and over
-    (user, day) groups so every class and group is populated.
+    one-hot.
     """
-    rng = Rng(cfg.seed)
     manifest = default_manifest()
-    width = manifest.total_width
-    proto_rng = rng.split("prototypes")
-    domain_protos = proto_rng.normal(size=(5, width)) / np.sqrt(width)
-    within_protos = proto_rng.normal(size=(3, width)) / np.sqrt(width)
-
     ranges = manifest.ranges()
-    age_lo, age_hi = ranges[WEARER_AGE]
-    gen_lo, gen_hi = ranges[WEARER_GENDER]
-
-    order = rng.split("labels").permutation(cfg.n_sequences)
-    frame_rng = rng.split("frames")
-    wearer_rng = rng.split("wearer")
     sequences = []
-    groups = [(f"u{u}", f"d{d}") for u in range(cfg.users) for d in range(cfg.days_per_user)]
-    for s in range(cfg.n_sequences):
-        relation = Relation(int(order[s]) % 9)
-        t_len = int(frame_rng.integers(cfg.min_len, cfg.max_len + 1))
-        base = _relation_base(cfg, domain_protos, within_protos, relation)
-        frames = base + frame_rng.normal(size=(t_len, width), scale=cfg.noise)
-        frames[:, age_lo:age_hi] = 0.0
-        frames[:, gen_lo:gen_hi] = 0.0
-        frames[:, age_lo + int(wearer_rng.integers(0, age_hi - age_lo))] = 1.0
-        frames[:, gen_lo + int(wearer_rng.integers(0, gen_hi - gen_lo))] = 1.0
-        user, day = groups[s % len(groups)]
+    for seq_id, relation, (user, day), blocks, wearer in _generate(
+            cfg, [("frames", manifest.total_width)]):
+        frames = blocks["frames"]
+        for name, category in zip(WEARER_FIELDS, wearer):
+            lo, hi = ranges[name]
+            frames[:, lo:hi] = 0.0
+            frames[:, lo + category] = 1.0
         sequences.append(SocialSequence(
-            id=f"seq{s:04d}", user=user, day=day, relation=relation, frames=frames,
+            id=seq_id, user=user, day=day, relation=relation, frames=frames,
         ))
     return Dataset(manifest=manifest, sequences=sequences,
                    meta={"generator": "synth", "synth_config": cfg.to_json()})
@@ -159,49 +170,22 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
     out_dir = Path(out_dir)
     blocks_dir = out_dir / "blocks"
     blocks_dir.mkdir(parents=True, exist_ok=True)
-    manifest = default_manifest()
-    save_manifest(out_dir / "manifest.json", manifest)
-
-    rng = Rng(cfg.seed)
-    proto_rng = rng.split("prototypes")
+    save_manifest(out_dir / "manifest.json", default_manifest())
     raw_attrs = [(name, raw_cnn_width) for name in CNN_ATTRIBUTES] + [("proximity", 2)]
-    protos = {
-        name: {
-            "domain": proto_rng.normal(size=(5, w)) / np.sqrt(w),
-            "within": proto_rng.normal(size=(3, w)) / np.sqrt(w),
-        }
-        for name, w in raw_attrs
-    }
-
-    order = rng.split("labels").permutation(cfg.n_sequences)
-    frame_rng = rng.split("frames")
-    wearer_rng = rng.split("wearer")
-    groups = [(f"u{u}", f"d{d}") for u in range(cfg.users) for d in range(cfg.days_per_user)]
     records = []
-    for s in range(cfg.n_sequences):
-        relation = Relation(int(order[s]) % 9)
-        domain = domain_of(relation)
-        t_len = int(frame_rng.integers(cfg.min_len, cfg.max_len + 1))
-        seq_id = f"seq{s:04d}"
-        for name, w in raw_attrs:
-            base = _relation_base(cfg, protos[name]["domain"],
-                                  protos[name]["within"], relation)
-            data = base + frame_rng.normal(size=(t_len, w), scale=cfg.noise)
+    for seq_id, relation, (user, day), blocks, (age, gender) in _generate(cfg, raw_attrs):
+        for name, data in blocks.items():
             # np.savetxt's default layout, formatted in one call
-            row_fmt = " ".join(["%.18e"] * w) + "\n"
+            row_fmt = " ".join(["%.18e"] * data.shape[1]) + "\n"
             (blocks_dir / f"{seq_id}__{name}.txt").write_text(
-                (row_fmt * t_len) % tuple(data.ravel().tolist()))
-        user, day = groups[s % len(groups)]
+                (row_fmt * data.shape[0]) % tuple(data.ravel().tolist()))
         records.append({
             "id": seq_id,
             "user": user,
             "day": day,
             "relation": relation.label,
-            "domain": domain.label,
-            "wearer": {
-                "age": int(wearer_rng.integers(0, manifest.entry(WEARER_AGE).width)),
-                "gender": int(wearer_rng.integers(0, manifest.entry(WEARER_GENDER).width)),
-            },
+            "domain": domain_of(relation).label,
+            "wearer": {"age": age, "gender": gender},
         })
     (out_dir / "sequences.json").write_text(
         json.dumps({"sequences": records, "synth_config": cfg.to_json()},

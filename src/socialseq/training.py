@@ -85,12 +85,6 @@ def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
     return cfg.alpha0 * cfg.decay_factor ** (iteration // cfg.decay_period)
 
 
-def _named_arrays(params):
-    if hasattr(params, "named_arrays"):
-        return list(params.named_arrays())
-    return list(params.items())
-
-
 @dataclass(eq=False)
 class AdamState:
     m: dict[str, np.ndarray]
@@ -98,21 +92,20 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        named = _named_arrays(params)
+    def for_params(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
         return cls(
-            m={name: np.zeros_like(arr) for name, arr in named},
-            v={name: np.zeros_like(arr) for name, arr in named},
+            m={name: np.zeros_like(arr) for name, arr in params.items()},
+            v={name: np.zeros_like(arr) for name, arr in params.items()},
         )
 
 
 def adam_step(params, grads: Mapping[str, np.ndarray], state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place. Returns (params, state)."""
+    """One bias-corrected Adam update of the named arrays, in place; returns (params, state)."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, arr in _named_arrays(params):
+    for name, arr in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in {name!r}", [])
@@ -285,7 +278,8 @@ def train(
 
     input_dim = train_seqs[0].frames.shape[1]
     model = init_params(cfg.arch, input_dim, cfg.hidden, rng.split("init"))
-    state = AdamState.for_params(model)
+    arrays = dict(model.named_arrays())  # the live arrays Adam updates in place
+    state = AdamState.for_params(arrays)
     drop_rng = rng.split("dropout")
     sel_mode = selection_mode(cfg.arch)
 
@@ -295,14 +289,14 @@ def train(
     best_iter = -1
     n = len(train_seqs)
     labels_cache = [(int(s.domain), int(s.relation)) for s in train_seqs]
-    workspace = {name: np.empty_like(arr) for name, arr in model.named_arrays()}
+    workspace = {name: np.empty_like(arr) for name, arr in arrays.items()}
     for it in range(cfg.iterations):
-        for name, arr in model.named_arrays():
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise TrainingDiverged(
                     f"non-finite parameters in {name!r} at iteration {it}", history)
         lr = lr_schedule(it, cfg)
-        total = {name: np.zeros_like(arr) for name, arr in model.named_arrays()}
+        total = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         loss_sum = 0.0
         # CE terms per sequence; the L2 term and its gradient are identical
         # for every sequence, so they are added once to the mean.
@@ -316,12 +310,12 @@ def train(
         mean_loss = loss_sum / n + l2_penalty(model.weight_matrices(), cfg.l2)
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(f"non-finite loss at iteration {it}", history)
-        for name, arr in model.named_arrays():
+        for name, arr in arrays.items():
             total[name] /= n
             if cfg.l2 and name.endswith(".w"):
                 total[name] += cfg.l2 * arr
         try:
-            adam_step(model, total, state, lr)
+            adam_step(arrays, total, state, lr)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{exc} at iteration {it}", history) from None
 

@@ -154,14 +154,82 @@ def damage(raw: bytes, how: str) -> bytes:
         return raw[:header_end - 7]
     if how == "truncated-payload":
         return raw[:-5]
+    if how == "header-not-an-object":
+        return MAGIC + (2).to_bytes(8, "little") + b"[]"
     return raw + b"\0" * 8  # trailing bytes
 
 
-class TestDamagedContainer:
-    """A damaged dataset or model is a validation error (exit 2) naming the
-    file; it never loads."""
+# (case, edit of the (header, arrays) read back from a model, text the error names)
+DAMAGED_MODELS = [
+    ("array-missing", lambda h, a: a.pop("lstm.u"), "lstm.u"),
+    ("bias-shape", lambda h, a: a.update({"fc_in.b": np.zeros(7)}), "fc_in.b"),
+    ("recurrent-shape", lambda h, a: a.update({"lstm.u": np.zeros((16, 3))}), "lstm.u"),
+    ("arch-missing", lambda h, a: h.pop("arch"), "arch"),
+    ("arch-unknown", lambda h, a: h.update(arch="bogus"), "bogus"),
+    ("hidden-disagrees", lambda h, a: h.update(hidden=h["hidden"] + 1), "lstm.u"),
+    ("input-dim-disagrees", lambda h, a: h.update(input_dim=h["input_dim"] - 1), "fc_in.w"),
+    ("extra-array", lambda h, a: a.update({"head_extra.w": np.zeros((2, 3))}), "head_extra.w"),
+    ("manifest-hash-missing", lambda h, a: h.pop("manifest_hash"), "manifest hash"),
+]
 
-    @pytest.mark.parametrize("how", ["truncated-header", "truncated-payload", "trailing-bytes"])
+# (case, edit of the (header, arrays) read back from a dataset, text the error names)
+DAMAGED_DATASETS = [
+    ("frames-missing", lambda h, a: a.pop("frames/seq0000"), "frames/seq0000"),
+    ("records-missing", lambda h, a: h.pop("records"), "records"),
+    ("frame-count-wrong", lambda h, a: h["records"][0].update(frames=99), "frame count"),
+]
+
+# (case, damaged copy of a split file's JSON object)
+DAMAGED_SPLITS = [
+    ("outer-val-groups-missing",
+     lambda obj: {**obj, "outer": {k: v for k, v in obj["outer"].items() if k != "val_groups"}}),
+    ("inner-not-a-list", lambda obj: {**obj, "inner": 5}),
+    ("top-level-a-list", lambda obj: [obj]),
+]
+
+
+class TestDamagedContainer:
+    """A damaged dataset, model or split file is a validation error (exit 2)
+    naming the file; it never loads."""
+
+    @staticmethod
+    def rewrite(src, dst, edit):
+        header, arrays = read_container(src)
+        edit(header, arrays)
+        write_container(dst, header, list(arrays.items()))
+        return dst
+
+    @pytest.mark.parametrize("case, edit, names", DAMAGED_MODELS,
+                             ids=[c[0] for c in DAMAGED_MODELS])
+    def test_damaged_model_exits_2(self, workdir, tmp_path, capsys, case, edit, names):
+        bad = self.rewrite(workdir["model"], tmp_path / f"{case}.bin", edit)
+        assert run(["eval", "--model", bad, "--dataset", workdir["dataset"],
+                    "--out", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert names in err
+
+    @pytest.mark.parametrize("case, edit, names", DAMAGED_DATASETS,
+                             ids=[c[0] for c in DAMAGED_DATASETS])
+    def test_damaged_dataset_exits_2(self, workdir, tmp_path, capsys, case, edit, names):
+        bad = self.rewrite(workdir["dataset"], tmp_path / f"{case}.dat", edit)
+        assert run(["split", "--dataset", bad, "--out", tmp_path / "s.json",
+                    "--candidates", "8"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert names in err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("case, edit", DAMAGED_SPLITS, ids=[c[0] for c in DAMAGED_SPLITS])
+    def test_damaged_split_file_exits_2(self, workdir, tmp_path, capsys, case, edit):
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(json.dumps(edit(json.loads(workdir["splits"].read_text()))))
+        assert run(["eval", "--model", workdir["model"], "--dataset", workdir["dataset"],
+                    "--split", bad, "--side", "test", "--out", tmp_path / "r.json"]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["truncated-header", "truncated-payload", "trailing-bytes",
+                                     "header-not-an-object"])
     @pytest.mark.parametrize("artifact", ["dataset", "model"])
     def test_damaged_artifact_exits_2(self, workdir, tmp_path, capsys, how, artifact):
         bad = tmp_path / f"bad-{artifact}.bin"

@@ -26,6 +26,9 @@ from socialseq.numerics import Rng
 from helpers import assert_grads_close, finite_difference_grads
 
 UNIT_WEIGHTS = {"domain": np.ones(5), "relation": np.ones(9)}
+# One head's loss alone: the other head's class weights are all zero.
+DOMAIN_ONLY = {"domain": np.ones(5), "relation": np.zeros(9)}
+RELATION_ONLY = {"domain": np.zeros(5), "relation": np.ones(9)}
 
 
 def random_model(arch, seed, input_dim=6, hidden=4):
@@ -54,6 +57,39 @@ class TestInit:
         for view in (w_input, w_forget, w_output, w_candidate, u_input, u_candidate):
             assert view.shape == (5, 5)
             assert np.abs(view).max() <= limit_gate
+
+    @staticmethod
+    def reference_init(arch, input_dim, hidden, rng):
+        """Glorot init written out plainly: one [out, in] matrix per draw,
+        each LSTM gate block drawn on its own with its own fans."""
+        def glorot(shape):
+            limit = np.sqrt(6.0 / (shape[1] + shape[0]))
+            return rng.uniform(-limit, limit, size=shape)
+
+        arrays = {"fc_in.w": glorot((hidden, input_dim)), "fc_in.b": np.zeros(hidden),
+                  "lstm.w": np.concatenate([glorot((hidden, hidden)) for _ in range(4)]),
+                  "lstm.u": np.concatenate([glorot((hidden, hidden)) for _ in range(4)]),
+                  "lstm.b": np.zeros(4 * hidden)}
+        arrays["lstm.b"][hidden:2 * hidden] = 1.0
+        if arch.has_domain_head:
+            arrays["head_domain.w"] = glorot((5, hidden))
+            arrays["head_domain.b"] = np.zeros(5)
+        if arch.has_relation_head:
+            arrays["head_relation.w"] = glorot((9, hidden + 5 if arch is Arch.MT_TD else hidden))
+            arrays["head_relation.b"] = np.zeros(9)
+        return arrays
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    @pytest.mark.parametrize("input_dim, hidden", [(1, 1), (6, 3), (459, 16), (7, 128)])
+    def test_matches_per_block_glorot_reference(self, arch, input_dim, hidden):
+        rng_got, rng_want = Rng(5).split("init"), Rng(5).split("init")
+        got = init_params(arch, input_dim, hidden, rng_got)
+        want = self.reference_init(arch, input_dim, hidden, rng_want)
+        assert [name for name, _ in got.named_arrays()] == list(want)
+        for name, arr in got.named_arrays():
+            assert_same_bits(arr, want[name])
+        # both consumed the same numbers, so the next draw matches too
+        assert rng_got.uniform() == rng_want.uniform()
 
     def test_mt_td_relation_head_width(self):
         td = random_model(Arch.MT_TD, 97, hidden=4)
@@ -230,8 +266,8 @@ class TestLosses:
         model = random_model(Arch.MT_IND, 13)
         out = forward(model, Rng(14).normal(size=(3, 6)))
         labels = (2, 7)
-        dom = joint_loss(out, labels, UNIT_WEIGHTS, 0.0, model, tasks=("domain",))
-        rel = joint_loss(out, labels, UNIT_WEIGHTS, 0.0, model, tasks=("relation",))
+        dom = joint_loss(out, labels, DOMAIN_ONLY, 0.0, model)
+        rel = joint_loss(out, labels, RELATION_ONLY, 0.0, model)
         both = joint_loss(out, labels, UNIT_WEIGHTS, 0.0, model)
         assert abs(both - (dom + rel)) < 1e-12
 
@@ -294,20 +330,13 @@ class TestBackward:
             frames = Rng(40 + seed).normal(size=(4, 6))
             for model, expect_zero in ((ind, True), (td, False)):
                 out = forward(model, frames)
-                grads = backward(model, out.trace, (1, 5), UNIT_WEIGHTS, 0.0,
-                                 tasks=("relation",))
+                grads = backward(model, out.trace, (1, 5), RELATION_ONLY, 0.0)
                 magnitude = max(np.abs(grads["head_domain.w"]).max(),
                                 np.abs(grads["head_domain.b"]).max())
                 if expect_zero:
                     assert magnitude == 0.0
                 else:
                     assert magnitude > 1e-8
-
-    def test_task_selection_validated(self):
-        model = random_model(Arch.ST_REL, 50)
-        out = forward(model, Rng(51).normal(size=(2, 6)))
-        with pytest.raises(ValueError):
-            backward(model, out.trace, (0, 0), UNIT_WEIGHTS, 0.0, tasks=("domain",))
 
 
 def reference_lstm_forward(params, a):
@@ -418,11 +447,11 @@ class TestGradientBuffers:
     @pytest.mark.parametrize("t_len", [1, 2, 9])
     def test_out_is_bit_identical_to_fresh(self, arch, t_len):
         model, trace, labels = self.case(arch, t_len, 60 + t_len)
-        for tasks in {None, *((task,) for task in arch.tasks)}:
-            fresh = backward(model, trace, labels, UNIT_WEIGHTS, 1e-3, tasks)
+        for weights in (UNIT_WEIGHTS, DOMAIN_ONLY, RELATION_ONLY):
+            fresh = backward(model, trace, labels, weights, 1e-3)
             buffers = self.nan_buffers(model)
             arrays = dict(buffers)
-            got = backward(model, trace, labels, UNIT_WEIGHTS, 1e-3, tasks, out=buffers)
+            got = backward(model, trace, labels, weights, 1e-3, out=buffers)
             assert got is buffers
             assert got.keys() == fresh.keys()
             for name, grad in got.items():

@@ -39,7 +39,7 @@ def test_artifact_digests_repeat(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     named = {line.split("  ", 1)[1] for line in outputs[0].splitlines()}
-    for artifact in ("ds.dat", "ds.dat.pca", "ds-all.dat", "ds-all.dat.pca", "aug.dat", "model.bin", "model.bin.history.jsonl",
+    for artifact in ("corpus.dat", "ds.dat", "ds.dat.pca", "ds-all.dat", "ds-all.dat.pca", "aug.dat", "model.bin", "model.bin.history.jsonl",
                      "report-relation-direct.json", "report-domain-inferred.json",
                      "pred.jsonl", "rows.jsonl", "cli-output.txt"):
         assert artifact in named
