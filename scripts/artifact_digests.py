@@ -8,7 +8,10 @@ The chain is synth (the raw corpus, and the same corpus generated ready
 as corpus.dat) -> split -> ingest --split -> ingest without --split (PCA
 fitted on every frame, written as ds-all.dat) -> split of the --split
 dataset (the benchmark pipeline's --cv 3 --ratio 0.6) -> augment -> train
-(mt-td) -> eval in two modes -> predict -> benchmark. Artifacts are named
+(mt-td) -> eval in two modes -> predict -> benchmark. At --size tiny,
+train reads its --hidden and --iterations from a --config file and
+benchmark its --groups from a JSON file, both written by the script first,
+so the chain also reads JSON inputs through the CLI. Artifacts are named
 relative to DIR, which must be empty or absent, and the CLI's own
 printout is kept as `cli-output.txt` and digested with the rest. Running
 the script on two versions of the code and diffing the outputs shows
@@ -18,6 +21,7 @@ whether a change kept every artifact byte for byte.
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -30,8 +34,11 @@ SIZES = {
                   "--min-len", 2, "--max-len", 5, "--raw-cnn-width", 50],
         "split": ["--candidates", 32, "--cv", 2],
         "split_dataset": ["--candidates", 32],
-        "train": ["--hidden", 8, "--iterations", 3],
-        "benchmark": ["--hidden", 4, "--iterations", 2, "--groups", "none"],
+        "train": ["--config", "train-config.json"],
+        "benchmark": ["--hidden", 4, "--iterations", 2, "--groups", "groups.json"],
+        "inputs": {"train-config.json": {"hidden": 8, "iterations": 3},
+                   "groups.json": {"FACE": ["age-face", "facial-expression"],
+                                   "CTX": ["activities", "proximity"]}},
     },
     "full": {
         "synth": ["--sequences", 108, "--users", 4, "--days-per-user", 5,
@@ -40,6 +47,7 @@ SIZES = {
         "split_dataset": ["--candidates", 6000],
         "train": ["--hidden", 16, "--iterations", 20],
         "benchmark": ["--hidden", 16, "--iterations", 6, "--groups", "default"],
+        "inputs": {},
     },
 }
 
@@ -51,7 +59,10 @@ def run(argv):
 
 
 def run_chain(size: dict) -> None:
-    """The CLI chain, run in the current directory."""
+    """The CLI chain, run in the current directory, after writing the size's
+    JSON input files (a train config, an attribute-groups file)."""
+    for name, obj in size["inputs"].items():
+        Path(name).write_text(json.dumps(obj))
     run(["synth", "--raw-dir", "raw", "--out", "corpus.dat", "--domain-sep", 2.0,
          "--relation-sep", 2.0, "--noise", 0.5, "--seed", 0, *size["synth"]])
     run(["split", "--sequences", "raw/sequences.json", "--out", "split.json",

@@ -4,14 +4,14 @@ benchmark, synth.
 Configuration comes from flags and optional JSON config files only (no
 environment variables), and every artifact embeds the config hash, seed
 and toolkit version so runs are reproducible byte for byte. Exit codes:
-0 success, 2 input validation failure, 1 runtime failure.
+0 success; 2 for a missing, unreadable or damaged input file or an
+out-of-range flag value; 1 for a runtime or write failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from enum import Enum
 from pathlib import Path
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from socialseq import __version__
-from socialseq.container import config_hash, write_container
+from socialseq.container import config_hash, read_json, write_container, write_json, write_jsonl
 from socialseq.dataset import (
     Dataset,
     SocialSequence,
@@ -298,14 +298,11 @@ def cmd_train(args) -> int:
                      "best_selection": result.best_selection,
                      "cv_index": args.cv_index})
     history_path = args.history or f"{args.out}.history.jsonl"
-    with open(history_path, "w") as fh:
-        fh.write(json.dumps({
-            "config_hash": run_hash, "seed": cfg.seed, "toolkit_version": __version__,
-            "config": cfg.to_json(), "best_iteration": result.best_iteration,
-            "best_selection": result.best_selection,
-        }, sort_keys=True) + "\n")
-        for rec in result.history:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+    write_jsonl(history_path, {
+        "config_hash": run_hash, "seed": cfg.seed, "toolkit_version": __version__,
+        "config": cfg.to_json(), "best_iteration": result.best_iteration,
+        "best_selection": result.best_selection,
+    }, (rec.to_json() for rec in result.history))
     print(f"trained {cfg.arch.value} on cv[{args.cv_index}]: best iteration "
           f"{result.best_iteration}, validation macro-F1 {result.best_selection:.4f}")
     print(f"wrote {args.out} and {history_path}")
@@ -325,11 +322,9 @@ def cmd_eval(args) -> int:
         print(f"  class {c}: precision {report.per_class_precision[c]:.4f} "
               f"recall {report.per_class_recall[c]:.4f} f1 {f1:.4f}")
     if args.out:
-        obj = report.to_json()
-        obj["meta"] = {"model_config_hash": header["config_hash"],
-                       "seed": header["seed"], "toolkit_version": __version__,
-                       "side": args.side}
-        Path(args.out).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        write_json(args.out, {**report.to_json(), "meta": {
+            "model_config_hash": header["config_hash"], "seed": header["seed"],
+            "toolkit_version": __version__, "side": args.side}})
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -337,11 +332,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     ds = load_dataset(args.dataset)
     model, header = load_model(args.model, expect_manifest_hash=ds.manifest.hash)
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps({
-            "model_config_hash": header["config_hash"], "seed": header["seed"],
-            "toolkit_version": __version__, "arch": model.arch.value,
-        }, sort_keys=True) + "\n")
+
+    def rows():
         for seq in ds.sequences:
             out = forward(model, seq.frames)
             row: dict = {"id": seq.id}
@@ -354,7 +346,10 @@ def cmd_predict(args) -> int:
             if out.domain_probs is not None:
                 row["domain_probs"] = out.domain_probs.tolist()
                 row["domain_pred"] = Domain(int(np.argmax(out.domain_probs))).label
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            yield row
+
+    write_jsonl(args.out, {"model_config_hash": header["config_hash"], "seed": header["seed"],
+                           "toolkit_version": __version__, "arch": model.arch.value}, rows())
     print(f"wrote {args.out}: {len(ds.sequences)} predictions")
     return EXIT_OK
 
@@ -367,11 +362,7 @@ def cmd_benchmark(args) -> int:
     elif args.groups == "default":
         masks = attribute_group_columns(ds.manifest)
     else:
-        try:
-            groups = json.loads(Path(args.groups).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read groups file {args.groups}: {exc}") from None
-        masks = attribute_group_columns(ds.manifest, groups)
+        masks = attribute_group_columns(ds.manifest, read_json(args.groups))
     cfg = _config_from_args(TrainConfig, args)
     rows = benchmark_suite(cfg, ds.by_group(), suite, masks)
     table = render_benchmark_table(rows)
@@ -379,11 +370,9 @@ def cmd_benchmark(args) -> int:
     run_hash = config_hash({"command": "benchmark", "groups": args.groups,
                             "split_seed": suite.seed, **cfg.to_json()})
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps({"config_hash": run_hash, "seed": cfg.seed,
-                                 "toolkit_version": __version__}, sort_keys=True) + "\n")
-            for row in rows:
-                fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+        write_jsonl(args.out, {"config_hash": run_hash, "seed": cfg.seed,
+                               "toolkit_version": __version__},
+                    (row.to_json() for row in rows))
         print(f"wrote {args.out}")
     if args.table_out:
         Path(args.table_out).write_text(table + "\n")
@@ -432,12 +421,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            try:
-                overrides = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"cannot read config {args.config}: {exc}") from None
             sp = parsers[args.command]
-            sp.set_defaults(**_config_defaults(sp, overrides))
+            sp.set_defaults(**_config_defaults(sp, read_json(args.config)))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

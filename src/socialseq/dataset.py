@@ -11,9 +11,11 @@ import numpy as np
 
 from socialseq import __version__
 from socialseq.container import (
+    Record,
     ValidationError,
     canonical_json,
     read_container,
+    read_json,
     sha256_hex,
     write_container,
 )
@@ -73,7 +75,7 @@ class ManifestEntry:
 
 
 @dataclass(frozen=True)
-class LayoutManifest:
+class LayoutManifest(Record):
     """Ordered (name, width, is_cnn) records describing how attribute blocks
     and wearer one-hots tile the 459-wide frame vector."""
 
@@ -126,13 +128,6 @@ class LayoutManifest:
                 return e
         raise ValidationError(f"unknown manifest entry {name!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"name": e.name, "width": e.width, "is_cnn": e.is_cnn} for e in self.entries
-            ]
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "LayoutManifest":
         try:
@@ -154,11 +149,11 @@ def save_manifest(path, manifest: LayoutManifest) -> None:
 
 
 def load_manifest(path) -> LayoutManifest:
+    obj = read_json(path)
     try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid manifest JSON: {exc}") from None
-    return LayoutManifest.from_json(obj)
+        return LayoutManifest.from_json(obj)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass

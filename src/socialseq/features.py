@@ -9,13 +9,13 @@ training frames and perturbs along its axes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from socialseq.container import read_json
 from socialseq.dataset import (
     WEARER_AGE,
     WEARER_GENDER,
@@ -193,11 +193,7 @@ def load_raw_records(path) -> tuple[list[dict], list[Relation]]:
     """The records of a raw corpus's sequences.json and their checked
     relations. Each record holds an id, user, day, relation, domain and a
     wearer object of integer age and gender categories."""
-    try:
-        meta = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    records = meta.get("sequences") if isinstance(meta, dict) else None
+    records = read_json(path).get("sequences")
     if not isinstance(records, list) or not records:
         raise ValidationError(f"{path}: no list of sequence records under 'sequences'")
     relations = []
@@ -233,6 +229,14 @@ def ingest_raw_corpus(
     manifest = load_manifest(raw_dir / "manifest.json")
     records, relations = load_raw_records(raw_dir / "sequences.json")
     attrs = manifest.block_entries
+    wearers = []
+    for rec in records:  # the category range rule, before any block file is parsed
+        wearer = WearerInfo(age=rec["wearer"]["age"], gender=rec["wearer"]["gender"])
+        try:
+            wearer.encode(manifest)
+        except ValidationError as exc:
+            raise ValidationError(f"record {rec['id']!r}: {exc}") from None
+        wearers.append(wearer)
 
     in_fit = None
     if fit_groups is not None:
@@ -283,9 +287,8 @@ def ingest_raw_corpus(
 
     ends = np.cumsum(lengths)
     sequences = []
-    for rec, relation, end, t_len in zip(records, relations, ends, lengths):
+    for rec, relation, wearer, end, t_len in zip(records, relations, wearers, ends, lengths):
         rows = slice(end - t_len, end)
-        wearer = WearerInfo(age=rec["wearer"]["age"], gender=rec["wearer"]["gender"])
         try:
             frames = assemble_frame_vectors(
                 {name: arr[rows] for name, arr in compressed.items()}, wearer, manifest)

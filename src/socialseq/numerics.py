@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Rng:
-    """Deterministic random stream addressed by (seed, split-key path).
+class Rng(np.random.Generator):
+    """Deterministic random stream addressed by (seed, split-key path): a
+    numpy Generator on PCG64(SeedSequence(seed, spawn_key)).
 
     `split` derives an independent child stream from the parent's seed and
     a key path without consuming parent state, so concurrent pipeline
@@ -24,24 +25,12 @@ class Rng:
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.spawn_key = tuple(_spawn_key)
-        self._gen = np.random.Generator(
+        super().__init__(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
         )
 
     def split(self, *keys: int | str) -> "Rng":
         return Rng(self.seed, self.spawn_key + tuple(_key_code(k) for k in keys))
-
-    def normal(self, size=None, scale: float = 1.0):
-        return self._gen.normal(0.0, scale, size=size)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
-
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"

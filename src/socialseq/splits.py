@@ -9,13 +9,12 @@ are kept.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from socialseq.container import Record, read_json, write_json
 from socialseq.dataset import SocialSequence, ValidationError
 from socialseq.numerics import Rng, kl_divergence
 from socialseq.taxonomy import N_RELATIONS
@@ -64,7 +63,7 @@ def group_by_user_day(sequences: Sequence[SocialSequence]) -> list[DayGroup]:
 
 
 @dataclass(eq=False)
-class SplitPlan:
+class SplitPlan(Record):
     """One candidate assignment of whole groups to a train and a val side."""
 
     train_groups: tuple[tuple[str, str], ...]
@@ -77,20 +76,6 @@ class SplitPlan:
     achieved_ratio: float
     ratio_ok: bool
     kl_score: float = float("nan")
-
-    def to_json(self) -> dict:
-        return {
-            "train_groups": [list(k) for k in self.train_groups],
-            "val_groups": [list(k) for k in self.val_groups],
-            "train_size": self.train_size,
-            "val_size": self.val_size,
-            "train_dist": self.train_dist.tolist(),
-            "val_dist": self.val_dist.tolist(),
-            "ratio_target": self.ratio_target,
-            "achieved_ratio": self.achieved_ratio,
-            "ratio_ok": self.ratio_ok,
-            "kl_score": self.kl_score,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitPlan":
@@ -170,7 +155,7 @@ def propose_split(table: GroupTable, ratio: float, rng: Rng) -> SplitPlan:
     if len(table.keys) < 2:
         raise ValidationError("need at least 2 groups to split")
     if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must be in (0, 1)")
+        raise ValidationError(f"ratio must be in (0, 1), got {ratio}")
     target = ratio * table.total
     order = rng.permutation(len(table.keys)).tolist()
     sizes = table.sizes
@@ -208,7 +193,7 @@ def score_split(plan: SplitPlan) -> float:
 
 
 @dataclass(eq=False)
-class SplitSuite:
+class SplitSuite(Record):
     """Outer (train+val | test) split plus K inner cross-validation splits
     of the train+val pool. The outer val side is the held-out test set."""
 
@@ -224,15 +209,7 @@ class SplitSuite:
         return self.outer.val_groups
 
     def to_json(self) -> dict:
-        return {
-            "kind": "split-suite",
-            "n_candidates": self.n_candidates,
-            "k": self.k,
-            "ratio": self.ratio,
-            "seed": self.seed,
-            "outer": self.outer.to_json(),
-            "inner": [p.to_json() for p in self.inner],
-        }
+        return {"kind": "split-suite", **super().to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitSuite":
@@ -273,7 +250,7 @@ def select_splits(
     are a prefix of the first N' > N, so growing the budget never worsens
     the selected score."""
     if n_candidates < 1 or k < 1:
-        raise ValueError("n_candidates and k must be >= 1")
+        raise ValidationError(f"n_candidates and k must be >= 1, got {n_candidates} and {k}")
     groups = group_by_user_day(sequences)
     if len(groups) < 3:
         raise ValidationError("need at least 3 (user, day) groups to split twice")
@@ -293,18 +270,12 @@ def select_splits(
 
 
 def save_split_suite(path, suite: SplitSuite, meta: dict | None = None) -> None:
-    obj = suite.to_json()
-    if meta:
-        obj["meta"] = meta
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    write_json(path, {**suite.to_json(), "meta": meta} if meta else suite.to_json())
 
 
 def load_split_suite(path) -> SplitSuite:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid split file: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("kind") != "split-suite":
+    obj = read_json(path)
+    if obj.get("kind") != "split-suite":
         raise ValidationError(f"{path}: not a split-suite file")
     try:
         return SplitSuite.from_json(obj)

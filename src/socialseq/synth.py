@@ -10,12 +10,12 @@ coarse task is easy and the fine task needs the domain hint.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from socialseq.container import Record, ValidationError, write_json
 from socialseq.dataset import (
     WEARER_AGE,
     WEARER_FIELDS,
@@ -62,7 +62,7 @@ WITHIN_STYLES = ("shared", "aliased")
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Record):
     """Corpus knobs. `within_style` picks how the fine-grained signal is
     embedded: "shared" uses three within-domain prototypes common to all
     domains (relation separability independent of the domain signal);
@@ -83,16 +83,13 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_sequences < 1 or self.users < 1 or self.days_per_user < 1:
-            raise ValueError("n_sequences, users and days_per_user must be >= 1")
+            raise ValidationError("n_sequences, users and days_per_user must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
-            raise ValueError("need 1 <= min_len <= max_len")
+            raise ValidationError("need 1 <= min_len <= max_len")
         if self.noise < 0 or self.domain_sep < 0 or self.relation_sep < 0:
-            raise ValueError("separability knobs must be >= 0")
+            raise ValidationError("noise, domain_sep and relation_sep must be >= 0")
         if self.within_style not in WITHIN_STYLES:
-            raise ValueError(f"within_style must be one of {WITHIN_STYLES}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
+            raise ValidationError(f"within_style must be one of {WITHIN_STYLES}")
 
 
 def _within_domain_index(relation: Relation) -> int:
@@ -187,10 +184,7 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
             "domain": domain_of(relation).label,
             "wearer": {"age": age, "gender": gender},
         })
-    (out_dir / "sequences.json").write_text(
-        json.dumps({"sequences": records, "synth_config": cfg.to_json()},
-                   sort_keys=True, indent=1) + "\n"
-    )
+    write_json(out_dir / "sequences.json", {"sequences": records, "synth_config": cfg.to_json()})
 
 
 def attribute_group_columns(manifest: LayoutManifest,

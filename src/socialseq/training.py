@@ -7,11 +7,12 @@ parameters with the best validation macro-F1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from socialseq.container import Record
 from socialseq.dataset import SocialSequence, ValidationError, sequences_in_groups
 from socialseq.features import AugmentConfig, augment
 from socialseq.model import (
@@ -47,7 +48,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     arch: Arch = Arch.ST_REL
     hidden: int = 128
     alpha0: float = 2e-3
@@ -71,11 +72,6 @@ class TrainConfig:
             raise ValidationError("dropout must be in [0, 1)")
         if self.l2 < 0 or self.augment_sigma < 0 or self.augment_multiplier < 0:
             raise ValidationError("l2, augment_sigma and augment_multiplier must be >= 0")
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["arch"] = self.arch.value
-        return out
 
 
 def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
@@ -150,7 +146,7 @@ def accuracy(confusion) -> float:
 
 
 @dataclass(eq=False)
-class EvalReport:
+class EvalReport(Record):
     mode: str
     n: int
     accuracy: float
@@ -159,18 +155,6 @@ class EvalReport:
     per_class_recall: np.ndarray
     per_class_f1: np.ndarray
     confusion: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class_precision": self.per_class_precision.tolist(),
-            "per_class_recall": self.per_class_recall.tolist(),
-            "per_class_f1": self.per_class_f1.tolist(),
-            "confusion": self.confusion.tolist(),
-        }
 
 
 def report_from_predictions(truths: Sequence[int], preds: Sequence[int],
@@ -216,7 +200,7 @@ def evaluate(model: ModelParams, sequences: Sequence[SocialSequence], mode: str)
 
 
 @dataclass
-class HistoryRecord:
+class HistoryRecord(Record):
     iteration: int
     lr: float
     train_loss: float
@@ -226,9 +210,6 @@ class HistoryRecord:
     val_domain_f1: float | None = None
     val_domain_acc: float | None = None
     is_best: bool = False
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -347,7 +328,7 @@ def train(
 
 
 @dataclass
-class BenchmarkRow:
+class BenchmarkRow(Record):
     task: str  # REL / DOM / DOM-INF
     strategy: str  # ST / MT-IND / MT-TD
     subset: str  # attribute mask name
@@ -358,9 +339,6 @@ class BenchmarkRow:
     @property
     def label(self) -> str:
         return f"{self.task}-{self.strategy}"
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 _STRATEGIES = (

@@ -73,6 +73,13 @@ def _set_first_record(field, value):
     return _edit_records(edit)
 
 
+def _both(*mutations):
+    def mutate(raw):
+        for mutation in mutations:
+            mutation(raw)
+    return mutate
+
+
 def _edit_blocks(pattern, edit):
     def mutate(raw):
         for path in raw.glob(f"blocks/{pattern}"):
@@ -91,9 +98,14 @@ MALFORMED_RAW = [
     ("wearer-string", _set_first_record("wearer", "x"), "'seq0000'"),
     ("age-string", _set_first_record("wearer", {"age": "1", "gender": 0}), "'seq0000'"),
     ("age-float", _set_first_record("wearer", {"age": 1.5, "gender": 0}), "'seq0000'"),
-    ("age-out-of-range", _set_first_record("wearer", {"age": 9, "gender": 0}), "'seq0000'"),
+    # the wearer check comes before any block file is read
+    ("age-out-of-range", _both(_set_first_record("wearer", {"age": 9, "gender": 0}),
+                               lambda raw: (raw / "blocks" / "seq0001__clothing.txt").unlink()),
+     "'seq0000': wearer-age category 9"),
     ("relation-list", _set_first_record("relation", []), "'seq0000'"),
     ("top-level-list", _edit_records(lambda meta: meta["sequences"]), "sequences.json"),
+    ("manifest-entries-not-a-list",
+     lambda raw: (raw / "manifest.json").write_text('{"entries": 5}'), "manifest.json"),
     ("block-text", _edit_blocks("seq0001__clothing.txt", lambda text: "abc def\n"),
      "seq0001__clothing.txt"),
     ("block-nan", _edit_blocks("seq0001__clothing.txt",

@@ -18,6 +18,13 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def fill(argv, workdir, tmp_path):
+    """argv with DATASET, SPLITS, OUT and MISSING (an absent file) replaced."""
+    paths = {"DATASET": workdir["dataset"], "SPLITS": workdir["splits"],
+             "OUT": tmp_path / "out", "MISSING": tmp_path / "absent"}
+    return [paths.get(a, a) for a in argv]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One small pipeline shared by the read-only CLI tests."""
@@ -51,7 +58,20 @@ class TestSynthAndSplit:
 
     def test_split_rejects_missing_dataset(self, tmp_path):
         assert run(["split", "--dataset", tmp_path / "nope.dat",
-                    "--out", tmp_path / "s.json"]) == 1
+                    "--out", tmp_path / "s.json"]) == 2
+
+    @pytest.mark.parametrize("argv, names", [
+        (["synth", "--out", "OUT", "--min-len", 0], "min_len"),
+        (["synth", "--out", "OUT", "--noise", -1], "noise"),
+        (["split", "--dataset", "DATASET", "--out", "OUT", "--candidates", 0], "got 0 and 3"),
+        (["split", "--dataset", "DATASET", "--out", "OUT", "--cv", 0], "got 1000 and 0"),
+        (["split", "--dataset", "DATASET", "--out", "OUT", "--ratio", 1.5], "got 1.5"),
+    ], ids=["synth-min-len", "synth-noise", "split-candidates", "split-cv", "split-ratio"])
+    def test_bad_flag_value_exits_2(self, workdir, tmp_path, capsys, argv, names):
+        assert run(fill(argv, workdir, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and names in err
+        assert not (tmp_path / "out").exists()
 
     def test_split_rejects_unknown_relation_in_dataset(self, workdir, tmp_path):
         header, arrays = read_container(workdir["dataset"])
@@ -188,6 +208,29 @@ DAMAGED_SPLITS = [
 ]
 
 
+def edit_entries(raw: bytes, edit) -> bytes:
+    """The container `raw` with `edit` applied to its header's array entries."""
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+    header = json.loads(raw[start:end])
+    edit(header["arrays"])
+    encoded = json.dumps(header).encode()
+    return MAGIC + len(encoded).to_bytes(8, "little") + encoded + raw[end:]
+
+
+# (case, edit of a model's array entries, text the error names); the first two
+# entries are fc_in.w [hidden, input_dim] and fc_in.b
+DAMAGED_ENTRIES = [
+    ("name-missing", lambda e: e[0].pop("name"), "array entry 0 has no string name"),
+    ("name-duplicate", lambda e: e[1].update(name="fc_in.w"), "duplicate array name 'fc_in.w'"),
+    ("shape-missing", lambda e: e[0].pop("shape"), "'fc_in.w': shape None"),
+    ("shape-negated", lambda e: e[0].update(shape=[-d for d in e[0]["shape"]]),
+     "is not a list of non-negative ints"),
+    ("offset-missing", lambda e: e[0].pop("offset"), "'fc_in.w': offset None"),
+    ("second-offset-zero", lambda e: e[1].update(offset=0), "'fc_in.b': offset 0"),
+]
+
+
 class TestDamagedContainer:
     """A damaged dataset, model or split file is a validation error (exit 2)
     naming the file; it never loads."""
@@ -228,6 +271,17 @@ class TestDamagedContainer:
                     "--split", bad, "--side", "test", "--out", tmp_path / "r.json"]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, edit, names", DAMAGED_ENTRIES,
+                             ids=[c[0] for c in DAMAGED_ENTRIES])
+    def test_damaged_array_entry_exits_2(self, workdir, tmp_path, capsys, case, edit, names):
+        bad = tmp_path / f"{case}.bin"
+        bad.write_bytes(edit_entries(workdir["model"].read_bytes(), edit))
+        assert run(["eval", "--model", bad, "--dataset", workdir["dataset"],
+                    "--out", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert names in err
+
     @pytest.mark.parametrize("how", ["truncated-header", "truncated-payload", "trailing-bytes",
                                      "header-not-an-object"])
     @pytest.mark.parametrize("artifact", ["dataset", "model"])
@@ -241,6 +295,27 @@ class TestDamagedContainer:
                     "--out", tmp_path / "r.json"]
         assert run(argv) == 2
         assert str(bad) in capsys.readouterr().err
+
+
+# (case, argv in which MISSING names an absent input file)
+MISSING_INPUTS = [
+    ("split-dataset", ["split", "--dataset", "MISSING", "--out", "OUT"]),
+    ("split-sequences", ["split", "--sequences", "MISSING", "--out", "OUT"]),
+    ("train-split", ["train", "--dataset", "DATASET", "--split", "MISSING", "--out", "OUT"]),
+    ("eval-model", ["eval", "--model", "MISSING", "--dataset", "DATASET", "--out", "OUT"]),
+    ("ingest-raw-dir", ["ingest", "--raw-dir", "MISSING", "--out", "OUT"]),
+    ("benchmark-groups", ["benchmark", "--dataset", "DATASET", "--split", "SPLITS",
+                          "--groups", "MISSING", "--out", "OUT"]),
+    ("config", ["synth", "--config", "MISSING", "--out", "OUT"]),
+]
+
+
+@pytest.mark.parametrize("case, argv", MISSING_INPUTS, ids=[c[0] for c in MISSING_INPUTS])
+def test_missing_input_file_exits_2(workdir, tmp_path, capsys, case, argv):
+    assert run(fill(argv, workdir, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and str(tmp_path / "absent") in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestPredict:
