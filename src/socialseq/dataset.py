@@ -73,6 +73,15 @@ class ManifestEntry:
     width: int
     is_cnn: bool
 
+    def __post_init__(self):
+        # `type(...) is`, not isinstance: bool is a subclass of int
+        if not (isinstance(self.name, str) and type(self.width) is int
+                and type(self.is_cnn) is bool):
+            raise ValidationError(
+                f"manifest entry {self.name!r}: needs a string name, an int width and a "
+                f"bool is_cnn, got width {self.width!r}, is_cnn {self.is_cnn!r}"
+            )
+
 
 @dataclass(frozen=True)
 class LayoutManifest(Record):
@@ -132,7 +141,7 @@ class LayoutManifest(Record):
     def from_json(cls, obj: dict) -> "LayoutManifest":
         try:
             entries = tuple(
-                ManifestEntry(name=e["name"], width=int(e["width"]), is_cnn=bool(e["is_cnn"]))
+                ManifestEntry(name=e["name"], width=e["width"], is_cnn=e["is_cnn"])
                 for e in obj["entries"]
             )
         except (KeyError, TypeError) as exc:

@@ -17,10 +17,10 @@ import numpy as np
 
 from socialseq.container import read_json
 from socialseq.dataset import (
-    WEARER_AGE,
-    WEARER_GENDER,
+    WEARER_FIELDS,
     Dataset,
     LayoutManifest,
+    ManifestEntry,
     SocialSequence,
     ValidationError,
     load_manifest,
@@ -29,56 +29,6 @@ from socialseq.dataset import (
 )
 from socialseq.numerics import PcaModel, Rng, pca_fit, pca_transform
 from socialseq.taxonomy import Relation
-
-
-@dataclass(frozen=True, eq=False)
-class AttributeBlock:
-    """One attribute's raw per-frame features; is_cnn marks high-dimensional
-    embeddings that get compressed (low-dimensional signals pass through)."""
-
-    name: str
-    data: np.ndarray  # [frames, dim_raw]
-    is_cnn: bool
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(f"block {self.name!r}: need a nonempty 2-d array")
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"block {self.name!r}: non-finite entries")
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
-class CompressionConfig:
-    quant_levels: int = 32
-    components: int = 50
-
-    def __post_init__(self):
-        if self.quant_levels < 2:
-            raise ValidationError("quant_levels must be >= 2")
-        if self.components < 1:
-            raise ValidationError("components must be >= 1")
-
-
-@dataclass(frozen=True)
-class WearerInfo:
-    """Camera wearer's age and gender category indices (one-hot encoded
-    against the manifest's wearer entry widths)."""
-
-    age: int
-    gender: int
-
-    def encode(self, manifest: LayoutManifest) -> dict[str, np.ndarray]:
-        out = {}
-        for name, idx in ((WEARER_AGE, self.age), (WEARER_GENDER, self.gender)):
-            width = manifest.entry(name).width
-            if not 0 <= idx < width:
-                raise ValidationError(f"{name} category {idx} out of range [0, {width})")
-            onehot = np.zeros(width)
-            onehot[idx] = 1.0
-            out[name] = onehot
-        return out
 
 
 @dataclass(frozen=True)
@@ -94,99 +44,52 @@ class AugmentConfig:
             raise ValidationError("multiplier must be >= 0")
 
 
-def quantize(block: AttributeBlock, quant_levels: int) -> AttributeBlock:
-    """Min-max scale each feature dimension to [0, 1] and snap to the nearest
-    of `quant_levels` uniform levels; constant dimensions map to 0."""
+def quantize(x: np.ndarray, quant_levels: int) -> np.ndarray:
+    """Min-max scale each column of x to [0, 1] and snap it to the nearest
+    of `quant_levels` uniform levels; constant columns map to 0."""
     if quant_levels < 2:
-        raise ValueError("quant_levels must be >= 2")
-    x = block.data
+        raise ValidationError(f"quant_levels must be >= 2, got {quant_levels}")
     lo = x.min(axis=0)
     span = x.max(axis=0) - lo
     safe = np.where(span > 0, span, 1.0)
     scaled = (x - lo) / safe
     scaled[:, span == 0] = 0.0
-    levels = np.round(scaled * (quant_levels - 1)) / (quant_levels - 1)
-    return replace(block, data=levels)
+    return np.round(scaled * (quant_levels - 1)) / (quant_levels - 1)
 
 
 def compress_attribute(
-    block: AttributeBlock,
-    cfg: CompressionConfig,
-    fitted: PcaModel | None = None,
-    fit_rows=None,
+    entry: ManifestEntry, data: np.ndarray, quant_levels: int, fit_rows=None,
 ) -> tuple[np.ndarray, PcaModel | None]:
-    """Quantize then PCA-project a CNN block; non-CNN blocks pass through.
+    """One attribute's frames [frames, entry.width] from its raw block rows.
 
-    The model is fitted on `fit_rows` (training frames) when none is given
-    and applied to every row, so validation/test frames never leak into the
-    fit. Returns (compressed frames, model used); the model is None for
-    pass-through blocks.
+    A CNN entry is quantized, then PCA-projected to its manifest width with
+    the model fitted on `fit_rows` (training frames; every row when None),
+    so validation/test frames never leak into the fit. Any other entry must
+    already be `entry.width` wide and passes through as is. Returns the
+    frames and the fitted model, None for a pass-through entry.
     """
-    if not block.is_cnn:
-        return block.data.copy(), None
-    q = quantize(block, cfg.quant_levels).data
-    if fitted is None:
-        rows = q if fit_rows is None else q[np.asarray(fit_rows, dtype=np.intp)]
-        k = cfg.components
-        if k > min(rows.shape[0], rows.shape[1]):
-            raise ValidationError(
-                f"block {block.name!r}: k={k} exceeds min(frames={rows.shape[0]}, "
-                f"dim={rows.shape[1]})"
-            )
-        fitted = pca_fit(rows, k)
-    elif fitted.n_features != q.shape[1]:
-        raise ValueError(
-            f"block {block.name!r}: fitted model expects {fitted.n_features} dims, "
-            f"block has {q.shape[1]}"
+    if not entry.is_cnn:
+        if data.shape[1] != entry.width:
+            raise ValidationError(f"block {entry.name!r}: {data.shape[1]} columns, "
+                                  f"manifest width {entry.width}")
+        return data, None
+    q = quantize(data, quant_levels)
+    rows = q if fit_rows is None else q[fit_rows]
+    if entry.width > min(rows.shape):
+        raise ValidationError(
+            f"block {entry.name!r}: k={entry.width} exceeds min(frames={rows.shape[0]}, "
+            f"dim={rows.shape[1]})"
         )
-    return pca_transform(fitted, q), fitted
+    model = pca_fit(rows, entry.width)
+    return pca_transform(model, q), model
 
 
 def assemble_frame_vectors(
-    blocks: dict[str, np.ndarray],
-    wearer: WearerInfo,
-    manifest: LayoutManifest,
+    columns: dict[str, np.ndarray], manifest: LayoutManifest,
 ) -> np.ndarray:
-    """Concatenate compressed blocks and wearer one-hots in manifest order.
-
-    Every block must match its manifest width and share a frame count; the
-    wearer one-hots repeat on every frame. Result is [frames, 459].
-    """
-    wearer_cols = wearer.encode(manifest)
-    frame_counts = {name: arr.shape[0] for name, arr in blocks.items()}
-    if len(set(frame_counts.values())) > 1:
-        raise ValidationError(f"blocks disagree on frame count: {frame_counts}")
-    n_frames = next(iter(frame_counts.values())) if frame_counts else 1
-
-    parts = []
-    widths = {}
-    for entry in manifest.entries:
-        if entry.name in wearer_cols:
-            col = wearer_cols[entry.name]
-            parts.append(np.tile(col, (n_frames, 1)))
-            widths[entry.name] = len(col)
-        elif entry.name in blocks:
-            arr = np.asarray(blocks[entry.name], dtype=np.float64)
-            widths[entry.name] = arr.shape[1]
-            parts.append(arr)
-        else:
-            raise ValidationError(f"no block provided for manifest entry {entry.name!r}")
-    total = sum(widths.values())
-    expected = manifest.total_width
-    mismatched = {
-        name: (widths[name], manifest.entry(name).width)
-        for name in widths
-        if widths[name] != manifest.entry(name).width
-    }
-    if mismatched:
-        raise ValidationError(
-            f"block widths do not match manifest (got/expected): {mismatched}; "
-            f"assembled {total} of {expected} columns"
-        )
-    extra = set(blocks) - {e.name for e in manifest.entries}
-    if extra:
-        raise ValidationError(f"blocks not in manifest: {sorted(extra)}")
-    return np.hstack(parts)
+    """The [frames, 459] matrix: every manifest entry's [frames, width]
+    columns side by side in layout order."""
+    return np.hstack([columns[e.name] for e in manifest.entries])
 
 
 def load_raw_records(path) -> tuple[list[dict], list[Relation]]:
@@ -224,19 +127,20 @@ def ingest_raw_corpus(
     order. CNN blocks are quantized and PCA-compressed to their manifest
     width, fitted on the frames of the `fit_groups` (user, day) groups in
     file order, or on every frame when None; other blocks pass through.
-    Malformed input raises ValidationError naming the record or file."""
+    Malformed input raises ValidationError naming the record, file or
+    attribute."""
     raw_dir = Path(raw_dir)
     manifest = load_manifest(raw_dir / "manifest.json")
     records, relations = load_raw_records(raw_dir / "sequences.json")
     attrs = manifest.block_entries
-    wearers = []
-    for rec in records:  # the category range rule, before any block file is parsed
-        wearer = WearerInfo(age=rec["wearer"]["age"], gender=rec["wearer"]["gender"])
-        try:
-            wearer.encode(manifest)
-        except ValidationError as exc:
-            raise ValidationError(f"record {rec['id']!r}: {exc}") from None
-        wearers.append(wearer)
+    # the category range rule, before any block file is parsed
+    wearer = np.array([[rec["wearer"]["age"], rec["wearer"]["gender"]] for rec in records])
+    widths = [manifest.entry(name).width for name in WEARER_FIELDS]
+    bad = np.argwhere((wearer < 0) | (wearer >= widths))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"record {records[i]['id']!r}: {WEARER_FIELDS[j]} category "
+                              f"{wearer[i, j]} out of range [0, {widths[j]})")
 
     in_fit = None
     if fit_groups is not None:
@@ -276,28 +180,23 @@ def ingest_raw_corpus(
             lengths[i] = counts.pop()
 
     fit_rows = None if in_fit is None else np.flatnonzero(np.repeat(in_fit, lengths))
-    compressed: dict[str, np.ndarray] = {}
+    columns: dict[str, np.ndarray] = {}
     pcas: dict[str, PcaModel] = {}
     for e in attrs:
-        block = AttributeBlock(e.name, np.concatenate(raw_blocks[e.name]), e.is_cnn)
-        cfg = CompressionConfig(quant_levels=quant_levels, components=e.width)
-        compressed[e.name], model = compress_attribute(block, cfg, fit_rows=fit_rows)
+        columns[e.name], model = compress_attribute(
+            e, np.concatenate(raw_blocks[e.name]), quant_levels, fit_rows)
         if model is not None:
             pcas[e.name] = model
+    for j, (name, width) in enumerate(zip(WEARER_FIELDS, widths)):
+        columns[name] = np.eye(width)[np.repeat(wearer[:, j], lengths)]
 
-    ends = np.cumsum(lengths)
-    sequences = []
-    for rec, relation, wearer, end, t_len in zip(records, relations, wearers, ends, lengths):
-        rows = slice(end - t_len, end)
-        try:
-            frames = assemble_frame_vectors(
-                {name: arr[rows] for name, arr in compressed.items()}, wearer, manifest)
-        except ValidationError as exc:
-            raise ValidationError(f"record {rec['id']!r}: {exc}") from None
-        sequences.append(SocialSequence(
-            id=rec["id"], user=rec["user"], day=rec["day"],
-            relation=relation, frames=frames,
-        ))
+    frames = assemble_frame_vectors(columns, manifest)
+    sequences = [
+        SocialSequence(id=rec["id"], user=rec["user"], day=rec["day"],
+                       relation=relation, frames=rows)
+        for rec, relation, rows in zip(records, relations,
+                                       np.split(frames, np.cumsum(lengths)[:-1]))
+    ]
     return Dataset(manifest=manifest, sequences=sequences), pcas
 
 

@@ -92,10 +92,6 @@ class PcaModel:
     explained_variance_ratio: np.ndarray  # [k]
 
     @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.components.shape[1]
 
@@ -153,14 +149,6 @@ def pca_transform(model: PcaModel, x) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"expected [n, {model.n_features}] input, got shape {x.shape}")
     return (x - model.mean) @ model.components.T
-
-
-def pca_inverse(model: PcaModel, z) -> np.ndarray:
-    """Map projections back to the original space: z @ components + mean."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != model.n_components:
-        raise ValueError(f"expected [n, {model.n_components}] input, got shape {z.shape}")
-    return z @ model.components + model.mean
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

@@ -204,10 +204,6 @@ class SplitSuite(Record):
     ratio: float
     seed: int
 
-    @property
-    def test_groups(self) -> tuple[tuple[str, str], ...]:
-        return self.outer.val_groups
-
     def to_json(self) -> dict:
         return {"kind": "split-suite", **super().to_json()}
 

@@ -221,11 +221,8 @@ class TrainResult:
 
 
 def task_class_weights(sequences: Sequence[SocialSequence]) -> dict[str, np.ndarray]:
-    rel_counts = np.zeros(N_RELATIONS)
-    dom_counts = np.zeros(N_DOMAINS)
-    for s in sequences:
-        rel_counts[s.relation] += 1
-        dom_counts[s.domain] += 1
+    rel_counts = np.bincount([s.relation for s in sequences], minlength=N_RELATIONS)
+    dom_counts = np.bincount([s.domain for s in sequences], minlength=N_DOMAINS)
     return {"relation": class_weights(rel_counts), "domain": class_weights(dom_counts)}
 
 

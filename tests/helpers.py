@@ -87,6 +87,17 @@ def _edit_blocks(pattern, edit):
     return mutate
 
 
+def _edit_manifest_entry(name, **fields):
+    def mutate(raw):
+        path = raw / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["entries"]:
+            if entry["name"] == name:
+                entry.update(fields)
+        path.write_text(json.dumps(manifest))
+    return mutate
+
+
 def _drop_columns(keep):
     return lambda text: "".join(" ".join(line.split()[:keep]) + "\n"
                                 for line in text.splitlines())
@@ -106,6 +117,17 @@ MALFORMED_RAW = [
     ("top-level-list", _edit_records(lambda meta: meta["sequences"]), "sequences.json"),
     ("manifest-entries-not-a-list",
      lambda raw: (raw / "manifest.json").write_text('{"entries": 5}'), "manifest.json"),
+    ("manifest-width-string", _edit_manifest_entry("proximity", width="abc"),
+     "manifest.json: manifest entry 'proximity'"),
+    ("manifest-width-float", _edit_manifest_entry("proximity", width=2.7),
+     "manifest.json: manifest entry 'proximity'"),
+    ("manifest-is-cnn-string", _edit_manifest_entry("proximity", is_cnn="false"),
+     "manifest.json: manifest entry 'proximity'"),
+    ("block-missing", lambda raw: (raw / "blocks" / "seq0001__clothing.txt").unlink(),
+     "seq0001__clothing.txt"),
+    ("block-one-row-short",
+     _edit_blocks("seq0002__activities.txt", lambda text: text[:text.rindex("\n", 0, -1) + 1]),
+     "'seq0002': blocks disagree on frame count"),
     ("block-text", _edit_blocks("seq0001__clothing.txt", lambda text: "abc def\n"),
      "seq0001__clothing.txt"),
     ("block-nan", _edit_blocks("seq0001__clothing.txt",
@@ -117,4 +139,6 @@ MALFORMED_RAW = [
      "seq0001__proximity.txt"),
     ("cnn-narrower-than-manifest", _edit_blocks("*__activities.txt", _drop_columns(40)),
      "'activities'"),
+    ("proximity-narrower-than-manifest", _edit_blocks("*__proximity.txt", _drop_columns(1)),
+     "'proximity'"),
 ]

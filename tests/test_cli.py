@@ -197,6 +197,9 @@ DAMAGED_DATASETS = [
     ("frames-missing", lambda h, a: a.pop("frames/seq0000"), "frames/seq0000"),
     ("records-missing", lambda h, a: h.pop("records"), "records"),
     ("frame-count-wrong", lambda h, a: h["records"][0].update(frames=99), "frame count"),
+    ("manifest-is-cnn-string",
+     lambda h, a: next(e for e in h["manifest"]["entries"] if e["name"] == "proximity")
+     .update(is_cnn="false"), "manifest entry 'proximity'"),
 ]
 
 # (case, damaged copy of a split file's JSON object)

@@ -8,45 +8,40 @@ from helpers import MALFORMED_RAW, write_raw_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialseq.dataset import ValidationError
+from socialseq.dataset import LayoutManifest, ManifestEntry, SocialSequence, ValidationError
 from socialseq.features import (
-    AttributeBlock,
     AugmentConfig,
-    CompressionConfig,
-    WearerInfo,
     assemble_frame_vectors,
     augment,
     compress_attribute,
     ingest_raw_corpus,
     quantize,
 )
-from socialseq.dataset import SocialSequence
 from socialseq.numerics import Rng, pca_fit, pca_transform
 from socialseq.synth import default_manifest
 from socialseq.taxonomy import Relation
 
 
-def block(data, name="attr", is_cnn=True):
-    return AttributeBlock(name=name, data=np.asarray(data, dtype=float), is_cnn=is_cnn)
+def arr(rows):
+    return np.asarray(rows, dtype=float)
 
 
 class TestQuantize:
     def test_binary_already_at_levels(self):
-        b = quantize(block([[0.0], [1.0]]), 2)
-        assert np.array_equal(b.data, [[0.0], [1.0]])
+        assert np.array_equal(quantize(arr([[0.0], [1.0]]), 2), [[0.0], [1.0]])
 
     def test_five_levels_hand_case(self):
-        b = quantize(block([[0.0], [0.24], [0.5], [1.0]]), 5)
-        assert np.array_equal(b.data, [[0.0], [0.25], [0.5], [1.0]])
+        q = quantize(arr([[0.0], [0.24], [0.5], [1.0]]), 5)
+        assert np.array_equal(q, [[0.0], [0.25], [0.5], [1.0]])
 
     def test_constant_column_maps_to_zero(self):
-        b = quantize(block([[7.0, 1.0], [7.0, 3.0]]), 4)
-        assert np.array_equal(b.data[:, 0], [0.0, 0.0])
-        assert np.array_equal(b.data[:, 1], [0.0, 1.0])
+        q = quantize(arr([[7.0, 1.0], [7.0, 3.0]]), 4)
+        assert np.array_equal(q[:, 0], [0.0, 0.0])
+        assert np.array_equal(q[:, 1], [0.0, 1.0])
 
     def test_rejects_q_below_2(self):
-        with pytest.raises(ValueError):
-            quantize(block([[0.0], [1.0]]), 1)
+        with pytest.raises(ValidationError, match="quant_levels"):
+            quantize(arr([[0.0], [1.0]]), 1)
 
     @given(
         st.integers(2, 17),
@@ -55,128 +50,61 @@ class TestQuantize:
     )
     @settings(max_examples=60)
     def test_idempotent_and_on_levels(self, q, rows):
-        b = quantize(block(rows), q)
+        once = quantize(arr(rows), q)
         levels = np.arange(q) / (q - 1)
-        for v in b.data.ravel():
+        for v in once.ravel():
             assert any(v == lv for lv in levels)
-        again = quantize(b, q)
-        assert np.array_equal(again.data, b.data)
+        assert np.array_equal(quantize(once, q), once)
 
 
 class TestCompressAttribute:
     def test_rank_one_block(self):
         t = np.linspace(0, 1, 8)[:, None]
-        out, model = compress_attribute(block(np.hstack([t, t])),
-                                        CompressionConfig(quant_levels=8, components=1))
+        out, model = compress_attribute(ManifestEntry("attr", 1, True), np.hstack([t, t]), 8)
         assert out.shape == (8, 1)
         assert np.allclose(model.explained_variance_ratio, [1.0], atol=1e-9)
 
     def test_non_cnn_passthrough(self):
         data = np.array([[0.3], [0.9], [0.1]])
-        out, model = compress_attribute(block(data, is_cnn=False),
-                                        CompressionConfig())
+        out, model = compress_attribute(ManifestEntry("attr", 1, False), data, 32)
         assert model is None
-        assert np.array_equal(out, data)
+        assert out is data
 
-    def test_reuse_fitted_model_matches_projection_oracle(self):
-        rng = Rng(0)
-        train = block(rng.normal(size=(12, 5)))
-        cfg = CompressionConfig(quant_levels=6, components=3)
-        _, model = compress_attribute(train, cfg)
-        new = block(rng.normal(size=(4, 5)))
-        out, reused = compress_attribute(new, cfg, fitted=model)
-        assert reused is model
-        q = quantize(new, cfg.quant_levels).data
-        assert np.allclose(out, (q - model.mean) @ model.components.T, atol=1e-12)
+    def test_non_cnn_width_must_match_the_manifest(self):
+        with pytest.raises(ValidationError, match="'proximity'"):
+            compress_attribute(ManifestEntry("proximity", 2, False), np.zeros((3, 1)), 32)
 
     def test_fit_rows_restrict_the_fit(self):
         rng = Rng(1)
         data = rng.normal(size=(10, 4))
-        cfg = CompressionConfig(quant_levels=9, components=2)
-        b = block(data)
-        out, model = compress_attribute(b, cfg, fit_rows=np.arange(6))
-        q = quantize(b, cfg.quant_levels).data
+        out, model = compress_attribute(ManifestEntry("attr", 2, True), data, 9,
+                                        fit_rows=np.arange(6))
+        q = quantize(data, 9)
         ref = pca_fit(q[:6], 2)
         assert np.allclose(model.mean, ref.mean)
         assert np.allclose(model.components, ref.components)
         assert np.allclose(out, pca_transform(ref, q), atol=1e-12)
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            compress_attribute(block(np.zeros((3, 2))), CompressionConfig(components=3))
+        with pytest.raises(ValidationError, match="'attr': k=3"):
+            compress_attribute(ManifestEntry("attr", 3, True), np.zeros((3, 2)), 32)
 
     def test_config_range_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="quant_levels"):
-            CompressionConfig(quant_levels=1)
-        with pytest.raises(ValidationError, match="components"):
-            CompressionConfig(components=0)
+            compress_attribute(ManifestEntry("attr", 1, True), np.eye(3), 1)
+        with pytest.raises(ValidationError, match="width must be >= 1"):
+            LayoutManifest((ManifestEntry("attr", 0, True),))
 
 
 class TestAssemble:
     def test_manifest_round_trip(self):
         manifest = default_manifest()
         rng = Rng(2)
-        blocks = {}
-        for e in manifest.entries:
-            if e.name.startswith("wearer-"):
-                continue
-            blocks[e.name] = rng.normal(size=(3, e.width))
-        wearer = WearerInfo(age=2, gender=1)
-        frames = assemble_frame_vectors(blocks, wearer, manifest)
+        columns = {e.name: rng.normal(size=(3, e.width)) for e in manifest.entries}
+        frames = assemble_frame_vectors(columns, manifest)
         assert frames.shape == (3, 459)
-        ranges = manifest.ranges()
-        for name, arr in blocks.items():
-            lo, hi = ranges[name]
-            assert np.array_equal(frames[:, lo:hi], arr)
-        lo, hi = ranges["wearer-age"]
-        assert np.array_equal(frames[:, lo:hi], np.tile(np.eye(5)[2], (3, 1)))
-        lo, hi = ranges["wearer-gender"]
-        assert np.array_equal(frames[:, lo:hi], np.tile(np.eye(2)[1], (3, 1)))
-
-    def test_zero_blocks_leave_only_wearer_one_hots(self):
-        manifest = default_manifest()
-        blocks = {
-            e.name: np.zeros((1, e.width))
-            for e in manifest.entries if not e.name.startswith("wearer-")
-        }
-        frames = assemble_frame_vectors(blocks, WearerInfo(age=0, gender=0), manifest)
-        assert frames.shape == (1, 459)
-        assert frames.sum() == 2.0  # exactly the two one-hot bits
-
-    def test_width_mismatch_names_the_deficit(self):
-        manifest = default_manifest()
-        blocks = {
-            e.name: np.zeros((2, e.width))
-            for e in manifest.entries if not e.name.startswith("wearer-")
-        }
-        blocks["proximity"] = np.zeros((2, 1))  # one column short of 459
-        with pytest.raises(ValidationError, match="proximity"):
-            assemble_frame_vectors(blocks, WearerInfo(0, 0), manifest)
-
-    def test_missing_block_rejected(self):
-        manifest = default_manifest()
-        blocks = {
-            e.name: np.zeros((2, e.width))
-            for e in manifest.entries if not e.name.startswith("wearer-")
-        }
-        del blocks["clothing"]
-        with pytest.raises(ValidationError, match="clothing"):
-            assemble_frame_vectors(blocks, WearerInfo(0, 0), manifest)
-
-    def test_frame_count_disagreement(self):
-        manifest = default_manifest()
-        blocks = {
-            e.name: np.zeros((2, e.width))
-            for e in manifest.entries if not e.name.startswith("wearer-")
-        }
-        blocks["activities"] = np.zeros((3, 50))
-        with pytest.raises(ValidationError, match="frame count"):
-            assemble_frame_vectors(blocks, WearerInfo(0, 0), manifest)
-
-    def test_wearer_category_out_of_range(self):
-        manifest = default_manifest()
-        with pytest.raises(ValidationError):
-            WearerInfo(age=5, gender=0).encode(manifest)
+        for name, (lo, hi) in manifest.ranges().items():
+            assert np.array_equal(frames[:, lo:hi], columns[name])
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +122,7 @@ def quantized_frames(raw, records, name):
     """One attribute's raw blocks stacked in record order and quantized as
     ingest quantizes them (over every frame, at the default 32 levels)."""
     stacked = np.concatenate([raw_block(raw, rec, name) for rec in records])
-    return quantize(block(stacked, name), 32).data
+    return quantize(stacked, 32)
 
 
 class TestIngestRawCorpus:

@@ -277,7 +277,7 @@ class TestSelectSplits:
             for i in range(80)
         ]
         suite = select_splits(sequences, n_candidates=200, k=3, ratio=0.8, seed=4)
-        test_keys = set(suite.test_groups)
+        test_keys = set(suite.outer.val_groups)
         for plan in suite.inner:
             inner_keys = set(plan.train_groups) | set(plan.val_groups)
             assert not inner_keys & test_keys
