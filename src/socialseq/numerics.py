@@ -35,6 +35,14 @@ class Rng(np.random.Generator):
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
 
+    # Generator's own __reduce__ rebuilds a plain Generator; pickle and
+    # deepcopy rebuild an Rng on the same key path and resume its stream.
+    def __reduce__(self):
+        return (Rng, (self.seed, self.spawn_key), self.bit_generator.state)
+
+    def __setstate__(self, state: dict) -> None:
+        self.bit_generator.state = state
+
 
 def _key_code(key: int | str) -> int:
     if isinstance(key, str):
@@ -60,12 +68,16 @@ def relu(x, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
-def kl_divergence(p, q, eps: float = 1e-8) -> float:
-    """KL(p || q) with eps-smoothing so absent classes stay finite.
+def kl_divergence(p, q, eps: float = 1e-8) -> float | np.ndarray:
+    """KL(p || q) along the last axis, with eps-smoothing so absent classes
+    stay finite.
 
     Both inputs get eps added to every entry and are renormalized before
     the sum, which keeps the score finite (and zero for identical inputs)
-    even when one side is missing a class entirely.
+    even when one side is missing a class entirely. A pair of vectors gives
+    a float; [..., C] arrays give an array of one KL per row, each equal bit
+    for bit to the call on that row alone, so a batch pays for the checks
+    once.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -76,10 +88,11 @@ def kl_divergence(p, q, eps: float = 1e-8) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     ps = p + eps
-    ps /= ps.sum()
+    ps /= ps.sum(axis=-1, keepdims=True)
     qs = q + eps
-    qs /= qs.sum()
-    return float(np.sum(ps * np.log(ps / qs)))
+    qs /= qs.sum(axis=-1, keepdims=True)
+    kl = np.sum(ps * np.log(ps / qs), axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 @dataclass(frozen=True, eq=False)

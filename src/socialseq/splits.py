@@ -64,17 +64,19 @@ def group_by_user_day(sequences: Sequence[SocialSequence]) -> list[DayGroup]:
 
 @dataclass(eq=False)
 class SplitPlan(Record):
-    """One candidate assignment of whole groups to a train and a val side."""
+    """One candidate assignment of whole groups to a train and a val side.
+    A drawn plan has no distributions or score until `score_plans` fills
+    them in."""
 
     train_groups: tuple[tuple[str, str], ...]
     val_groups: tuple[tuple[str, str], ...]
     train_size: int
     val_size: int
-    train_dist: np.ndarray
-    val_dist: np.ndarray
     ratio_target: float
     achieved_ratio: float
     ratio_ok: bool
+    train_dist: np.ndarray | None = None
+    val_dist: np.ndarray | None = None
     kl_score: float = float("nan")
 
     @classmethod
@@ -112,46 +114,63 @@ class GroupTable:
                    label_counts=counts, label_total=counts.sum(axis=0), total=sum(sizes))
 
 
-def _plan(train_groups, val_groups, train_size, val_size, train_counts, val_counts,
-          ratio) -> SplitPlan:
+def _unscored_plan(train_groups, val_groups, train_size, val_size, ratio) -> SplitPlan:
     achieved = train_size / (train_size + val_size)
-    plan = SplitPlan(
+    return SplitPlan(
         train_groups=train_groups,
         val_groups=val_groups,
         train_size=train_size,
         val_size=val_size,
-        train_dist=train_counts / train_counts.sum(),
-        val_dist=val_counts / val_counts.sum(),
         ratio_target=ratio,
         achieved_ratio=achieved,
         ratio_ok=abs(achieved - ratio) <= RATIO_TOLERANCE,
     )
-    plan.kl_score = score_split(plan)
-    return plan
+
+
+def score_plans(table: GroupTable, plans: Sequence[SplitPlan]) -> None:
+    """Fill in `train_dist`, `val_dist` and `kl_score` of plans whose groups
+    are rows of `table`, in one pass over all of them.
+
+    The score is the smoothed KL divergence of the train (majority) side's
+    relation distribution from the val side's. Train counts are a 0/1
+    membership matrix times the label counts and val counts the remainder;
+    the counts are integers, so both are exact in any order, and each row
+    equals the N=1 case bit for bit."""
+    row = {key: i for i, key in enumerate(table.keys)}
+    member = np.zeros((len(plans), len(table.keys)))
+    for n, plan in enumerate(plans):
+        member[n, [row[key] for key in plan.train_groups]] = 1.0
+    train = member @ table.label_counts
+    val = table.label_total - train
+    train_n = train.sum(axis=1, keepdims=True)
+    val_n = val.sum(axis=1, keepdims=True)
+    if not (train_n.all() and val_n.all()):
+        raise ValidationError("cannot score a split with an empty side")
+    train /= train_n
+    val /= val_n
+    kl = kl_divergence(train, val, eps=KL_EPS)
+    for plan, p, q, score in zip(plans, train, val, kl.tolist()):
+        plan.train_dist, plan.val_dist, plan.kl_score = p, q, score
 
 
 def make_plan(train: list[DayGroup], val: list[DayGroup], ratio: float) -> SplitPlan:
-    """The plan for a given assignment of groups to sides; the plain
-    reference that `propose_split` must agree with."""
-    return _plan(
-        tuple(g.key for g in train),
-        tuple(g.key for g in val),
-        sum(g.size for g in train),
-        sum(g.size for g in val),
-        sum((g.label_counts for g in train), np.zeros(N_RELATIONS)),
-        sum((g.label_counts for g in val), np.zeros(N_RELATIONS)),
-        ratio,
-    )
+    """The scored plan for a given assignment of groups to sides; the plain
+    reference that drawn and scored plans must agree with."""
+    plan = _unscored_plan(tuple(g.key for g in train), tuple(g.key for g in val),
+                          sum(g.size for g in train), sum(g.size for g in val), ratio)
+    score_plans(GroupTable.of(list(train) + list(val)), [plan])
+    return plan
 
 
 def propose_split(table: GroupTable, ratio: float, rng: Rng) -> SplitPlan:
-    """Shuffle the groups and greedily fill the train side up to
-    ratio * total sequences; the remainder is the val side.
+    """Draw one unscored plan: shuffle the groups with one
+    `rng.permutation` and greedily fill the train side up to
+    ratio * total sequences; the remainder is the val side. Both sides
+    keep draw order.
 
     The achieved ratio is reported honestly and flagged when the group
-    granularity puts it outside the tolerance. Label counts are
-    integer-valued, so the side sums are exact in any order and the plan
-    equals `make_plan` on the same sides, bit for bit."""
+    granularity puts it outside the tolerance. Once `score_plans` has
+    scored it, the plan equals `make_plan` on the same sides, bit for bit."""
     if len(table.keys) < 2:
         raise ValidationError("need at least 2 groups to split")
     if not 0.0 < ratio < 1.0:
@@ -170,26 +189,14 @@ def propose_split(table: GroupTable, ratio: float, rng: Rng) -> SplitPlan:
     if n_train == len(order):  # every group landed in train: the last drawn one is val
         n_train -= 1
         train_size -= sizes[order[-1]]
-    train_idx, val_idx = order[:n_train], order[n_train:]
     keys = table.keys
-    train_counts = table.label_counts[train_idx].sum(axis=0)
-    return _plan(
-        tuple([keys[i] for i in train_idx]),
-        tuple([keys[i] for i in val_idx]),
+    return _unscored_plan(
+        tuple([keys[i] for i in order[:n_train]]),
+        tuple([keys[i] for i in order[n_train:]]),
         train_size,
         table.total - train_size,
-        train_counts,
-        table.label_total - train_counts,
         ratio,
     )
-
-
-def score_split(plan: SplitPlan) -> float:
-    """Smoothed KL divergence of the train (majority) side's relation
-    distribution from the val side's."""
-    if plan.train_size == 0 or plan.val_size == 0:
-        raise ValidationError("cannot score a split with an empty side")
-    return kl_divergence(plan.train_dist, plan.val_dist, eps=KL_EPS)
 
 
 @dataclass(eq=False)
@@ -220,17 +227,18 @@ class SplitSuite(Record):
 
 
 def _best_candidates(groups, n_candidates, ratio, rng, keep):
-    """Draw n_candidates proposals and keep the `keep` distinct assignments
-    with the lowest (kl_score, draw index)."""
+    """Draw n_candidates proposals, score the first draw of each distinct
+    train side in one pass, and keep the `keep` lowest by
+    (kl_score, draw index)."""
     table = GroupTable.of(groups)
-    seen: dict[frozenset, tuple[float, int, SplitPlan]] = {}
-    for i in range(n_candidates):
+    distinct: dict[frozenset, SplitPlan] = {}
+    for _ in range(n_candidates):
         plan = propose_split(table, ratio, rng)
-        key = frozenset(plan.train_groups)
-        if key not in seen:
-            seen[key] = (plan.kl_score, i, plan)
-    ranked = sorted(seen.values(), key=lambda item: (item[0], item[1]))
-    return [plan for _, _, plan in ranked[:keep]]
+        distinct.setdefault(frozenset(plan.train_groups), plan)
+    plans = list(distinct.values())  # in draw order
+    score_plans(table, plans)
+    # sorted() is stable, so equal scores stay in draw order
+    return sorted(plans, key=lambda plan: plan.kl_score)[:keep]
 
 
 def select_splits(
@@ -242,9 +250,11 @@ def select_splits(
 ) -> SplitSuite:
     """Pick the minimal-KL outer split from n_candidates random proposals,
     then repeat over the outer train pool to pick the k lowest-KL distinct
-    inner splits. Fully deterministic given the seed; the first N proposals
-    are a prefix of the first N' > N, so growing the budget never worsens
-    the selected score."""
+    inner splits. Each pool makes n_candidates `propose_split` calls, one
+    permutation each, and scores its distinct draws in one batched pass.
+    Fully deterministic given the seed; the first N proposals are a prefix
+    of the first N' > N, so growing the budget never worsens the selected
+    score."""
     if n_candidates < 1 or k < 1:
         raise ValidationError(f"n_candidates and k must be >= 1, got {n_candidates} and {k}")
     groups = group_by_user_day(sequences)

@@ -1,11 +1,15 @@
-"""Shared test utilities: the finite-difference gradient oracle, and a
-small raw corpus with the malformed variants that ingest must reject."""
+"""Shared test utilities: the finite-difference gradient oracle, the
+per-draw split references, and a small raw corpus with the malformed
+variants that ingest must reject."""
 
 import json
 
 import numpy as np
 
+from socialseq.dataset import ValidationError
 from socialseq.model import forward, joint_loss
+from socialseq.numerics import Rng
+from socialseq.splits import SplitSuite, group_by_user_day, make_plan
 from socialseq.synth import SynthConfig, generate_raw_corpus
 
 
@@ -49,6 +53,50 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
         f = numeric[name]
         rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-6)
         assert rel.max() < tol, f"{name}: worst rel err {rel.max():.2e}"
+
+
+def greedy_reference(groups, ratio, order):
+    """The proposal rule written out over DayGroups: fill train in draw
+    order while it is below ratio * total, and move the last drawn group to
+    val when every group landed in train."""
+    target = ratio * sum(g.size for g in groups)
+    train, val, filled = [], [], 0
+    for idx in order:
+        if filled < target:
+            train.append(groups[idx])
+            filled += groups[idx].size
+        else:
+            val.append(groups[idx])
+    if not val:
+        val.append(train.pop())
+    return train, val
+
+
+def select_splits_reference(sequences, n_candidates, k, ratio, seed):
+    """`select_splits` one draw at a time: each candidate is a twin-Rng
+    permutation through `greedy_reference` and scored alone by `make_plan`;
+    the first draw of each train side wins, ranked by (kl, draw index)."""
+    groups = group_by_user_day(sequences)
+    if len(groups) < 3:
+        raise ValidationError("need at least 3 (user, day) groups to split twice")
+
+    def best(pool, rng, keep):
+        first = {}
+        for i in range(n_candidates):
+            plan = make_plan(*greedy_reference(pool, ratio, rng.permutation(len(pool))), ratio)
+            first.setdefault(frozenset(plan.train_groups), (plan.kl_score, i, plan))
+        return [plan for _, _, plan in sorted(first.values(), key=lambda t: t[:2])[:keep]]
+
+    rng = Rng(seed)
+    outer = best(groups, rng.split("outer"), 1)[0]
+    pool = [g for g in groups if g.key in set(outer.train_groups)]
+    if len(pool) < 2:
+        raise ValidationError("outer train pool has too few groups for inner splits")
+    inner = best(pool, rng.split("inner"), k)
+    if len(inner) < k:
+        raise ValidationError(f"only {len(inner)} distinct inner splits found, need k={k}")
+    return SplitSuite(outer=outer, inner=tuple(inner), n_candidates=n_candidates, k=k,
+                      ratio=ratio, seed=seed)
 
 
 def write_raw_corpus(raw_dir):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +96,28 @@ class TestKlDivergence:
         p = data.draw(distribution(n=n))
         q = data.draw(distribution(n=n))
         assert kl_divergence(p, q) >= -1e-12
+
+    def test_batch_rows_equal_single_calls_bit_for_bit(self):
+        rng = Rng(12)
+        counts = rng.integers(0, 5, size=(2, 300, 9)).astype(float)
+        counts[0, ::3, 4] = 0.0  # train side lacks a class: the eps path
+        counts[1, 1::3, 2] = 0.0  # val side lacks a class
+        counts[:, :, 0] += 1.0  # no empty side
+        p, q = counts / counts.sum(axis=-1, keepdims=True)
+        batch = kl_divergence(p, q, eps=1e-8)
+        assert batch.shape == (300,)
+        singles = [kl_divergence(pi, qi, eps=1e-8) for pi, qi in zip(p, q)]
+        assert all(isinstance(v, float) for v in singles)
+        assert batch.tobytes() == np.array(singles).tobytes()
+
+    def test_batch_checks_every_row(self):
+        p = np.full((3, 2), 0.5)
+        q = p.copy()
+        q[2] = [-0.1, 1.1]
+        with pytest.raises(ValueError):
+            kl_divergence(p, q)
+        with pytest.raises(ValueError):
+            kl_divergence(p, q[:2])
 
 
 class TestPca:
@@ -256,3 +280,16 @@ class TestRng:
 
     def test_zero_scale_normal_is_exact_zero(self):
         assert np.array_equal(Rng(0).normal(size=4, scale=0.0), np.zeros(4))
+
+    def test_pickle_and_deepcopy_resume_as_rng(self):
+        original = Rng(3).split("a")
+        original.normal(size=7)
+        copies = [pickle.loads(pickle.dumps(original)), copy.deepcopy(original)]
+        for twin in copies:
+            assert type(twin) is Rng
+            assert (twin.seed, twin.spawn_key) == (original.seed, original.spawn_key)
+        expected = original.integers(0, 2**62, size=4)
+        for twin in copies:
+            assert np.array_equal(twin.integers(0, 2**62, size=4), expected)
+            assert np.array_equal(twin.split("b").normal(size=5),
+                                  original.split("b").normal(size=5))

@@ -1,10 +1,13 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import greedy_reference, select_splits_reference
 
+from socialseq import splits
 from socialseq.dataset import SocialSequence, ValidationError
 from socialseq.numerics import Rng, kl_divergence
 from socialseq.splits import (
@@ -14,7 +17,7 @@ from socialseq.splits import (
     make_plan,
     propose_split,
     save_split_suite,
-    score_split,
+    score_plans,
     select_splits,
 )
 from socialseq.taxonomy import N_RELATIONS, Relation
@@ -132,23 +135,6 @@ class TestProposeSplit:
         assert plan.achieved_ratio == plan.train_size / len(sequences)
 
 
-def greedy_reference(groups, ratio, order):
-    """The proposal rule written out over DayGroups: fill train in draw
-    order while it is below ratio * total, and move the last drawn group to
-    val when every group landed in train."""
-    target = ratio * sum(g.size for g in groups)
-    train, val, filled = [], [], 0
-    for idx in order:
-        if filled < target:
-            train.append(groups[idx])
-            filled += groups[idx].size
-        else:
-            val.append(groups[idx])
-    if not val:
-        val.append(train.pop())
-    return train, val
-
-
 def oracle_group_sets():
     rng = Rng(11)
     giant = [("u0", "d0", [Relation.LOVERS] * 18)] + [
@@ -158,12 +144,18 @@ def oracle_group_sets():
                                 rng.integers(0, 3 if i % 2 else 9, size=int(rng.integers(1, 9)))])
         for i in range(12)
     ]
+    forty = [
+        (f"u{i % 8}", f"d{i // 8}", [Relation(int(r)) for r in
+                                     rng.integers(0, 9, size=int(rng.integers(1, 7)))])
+        for i in range(40)
+    ]
     return {
         "singletons": [(f"u{i}", "d", [Relation(i % 9)]) for i in range(10)],
         "two": [("u1", "d1", [Relation.LOVERS] * 3),
                 ("u2", "d1", [Relation.FRIENDS, Relation.CLASSMATES])],
         "giant": giant,
         "unequal-mixes": mixes,
+        "forty": forty,
     }
 
 
@@ -174,15 +166,22 @@ def bits(x):
 class TestProposeSplitOracle:
     @pytest.mark.parametrize("name", sorted(oracle_group_sets()))
     def test_equals_make_plan_and_consumes_one_permutation(self, name):
+        """Drawn plans, once scored alone (N=1) or as one batch, equal
+        make_plan on the twin permutation's sides bit for bit."""
         groups, _ = make_groups(oracle_group_sets()[name])
         table = GroupTable.of(groups)
         for ratio in (0.3, 0.6, 0.8, 0.95):
+            plans, refs = [], []
             for seed in range(25):
                 rng = Rng(seed)
-                plan = propose_split(table, ratio, rng)
+                plans.append(propose_split(table, ratio, rng))
                 twin = Rng(seed)
                 order = twin.permutation(len(groups))
-                ref = make_plan(*greedy_reference(groups, ratio, order), ratio)
+                refs.append(make_plan(*greedy_reference(groups, ratio, order), ratio))
+                assert rng.integers(0, 2**62) == twin.integers(0, 2**62)
+            score_plans(table, plans[:1])
+            score_plans(table, plans[1:])
+            for plan, ref in zip(plans, refs):
                 assert plan.train_groups == ref.train_groups  # draw order kept
                 assert plan.val_groups == ref.val_groups
                 assert (plan.train_size, plan.val_size) == (ref.train_size, ref.val_size)
@@ -191,7 +190,6 @@ class TestProposeSplitOracle:
                 assert bits(plan.kl_score) == bits(ref.kl_score)
                 assert bits(plan.achieved_ratio) == bits(ref.achieved_ratio)
                 assert plan.ratio_target == ratio and plan.ratio_ok == ref.ratio_ok
-                assert rng.integers(0, 2**62) == twin.integers(0, 2**62)
 
     def test_ratio_outside_open_interval_rejected(self):
         groups, _ = make_groups(oracle_group_sets()["two"])
@@ -207,7 +205,7 @@ class TestScoreSplit:
             ("u2", "d1", [Relation.LOVERS, Relation.FRIENDS]),
         ])
         plan = make_plan([groups[0]], [groups[1]], 0.5)
-        assert score_split(plan) <= 1e-9
+        assert plan.kl_score <= 1e-9
 
     def test_missing_class_is_finite(self):
         groups, _ = make_groups([
@@ -215,8 +213,8 @@ class TestScoreSplit:
             ("u2", "d1", [Relation.FRIENDS]),
         ])
         plan = make_plan([groups[0]], [groups[1]], 0.75)
-        assert np.isfinite(score_split(plan))
-        assert score_split(plan) > 0
+        assert np.isfinite(plan.kl_score)
+        assert plan.kl_score > 0
 
     def test_delegates_to_kl_divergence(self):
         groups, _ = make_groups([
@@ -225,7 +223,17 @@ class TestScoreSplit:
         ])
         plan = make_plan([groups[0]], [groups[1]], 0.6)
         direct = kl_divergence(plan.train_dist, plan.val_dist, eps=1e-8)
-        assert score_split(plan) == direct
+        assert plan.kl_score == direct
+
+    def test_empty_side_rejected(self):
+        groups, _ = make_groups([
+            ("u1", "d1", [Relation.LOVERS]),
+            ("u2", "d1", [Relation.FRIENDS]),
+        ])
+        with pytest.raises(ValidationError):
+            make_plan([], groups, 0.5)
+        with pytest.raises(ValidationError):
+            make_plan(groups, [], 0.5)
 
 
 def five_group_instance():
@@ -308,6 +316,31 @@ class TestSelectSplits:
         with pytest.raises(ValidationError):
             select_splits(sequences, n_candidates=10, k=1, ratio=0.5, seed=0)
 
+    def test_one_propose_split_call_per_draw(self, monkeypatch):
+        """The benchmark counts one `propose_split` call per candidate, and
+        each draw takes one permutation from its pool's stream."""
+        streams = []
+        real = splits.propose_split
+
+        def counting(table, ratio, rng):
+            streams.append((rng, len(table.keys)))
+            return real(table, ratio, rng)
+
+        monkeypatch.setattr(splits, "propose_split", counting)
+        _, sequences = make_groups(oracle_group_sets()["forty"])
+        suite = select_splits(sequences, n_candidates=150, k=3, ratio=0.7, seed=5)
+        assert len(streams) == 2 * 150
+        outer_rng, n_outer = streams[0]
+        inner_rng, n_inner = streams[-1]
+        assert {id(rng) for rng, _ in streams[:150]} == {id(outer_rng)}
+        assert {id(rng) for rng, _ in streams[150:]} == {id(inner_rng)}
+        assert n_inner == len(suite.outer.train_groups)
+        for rng, key, n_groups in ((outer_rng, "outer", n_outer), (inner_rng, "inner", n_inner)):
+            twin = Rng(5).split(key)
+            for _ in range(150):
+                twin.permutation(n_groups)
+            assert rng.integers(0, 2**62) == twin.integers(0, 2**62)
+
     def test_round_trip(self, tmp_path):
         _, sequences = five_group_instance()
         suite = select_splits(sequences, n_candidates=100, k=2, ratio=0.8, seed=7)
@@ -316,3 +349,20 @@ class TestSelectSplits:
         loaded = load_split_suite(path)
         assert loaded.to_json() == suite.to_json()
         assert loaded.outer.kl_score == suite.outer.kl_score
+
+
+class TestSelectSplitsReference:
+    @pytest.mark.parametrize("name", sorted(oracle_group_sets()))
+    def test_equals_per_draw_reference_byte_for_byte(self, name):
+        """The batched selection against draws scored one by one; "two"
+        cannot be split twice, so there both must refuse."""
+        _, sequences = make_groups(oracle_group_sets()[name])
+        for seed, k in itertools.product((0, 3, 8), (1, 2, 3)):
+            args = (sequences, 60, k, 0.6, seed)
+            try:
+                expected = json.dumps(select_splits_reference(*args).to_json(), sort_keys=True)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    select_splits(*args)
+                continue
+            assert json.dumps(select_splits(*args).to_json(), sort_keys=True) == expected
