@@ -160,8 +160,9 @@ def ingest_raw_corpus(
             where = f"record {rec['id']!r}"
             for e in attrs:
                 path = raw_dir / "blocks" / f"{rec['id']}__{e.name}.txt"
-                try:
-                    data = np.loadtxt(path, ndmin=2)
+                try:  # a handle, not a path, skips numpy's per-path URL handling
+                    with open(path) as fh:
+                        data = np.loadtxt(fh, ndmin=2)
                 except (OSError, ValueError, UserWarning) as exc:
                     raise ValidationError(f"{where}: cannot read block file {path}: "
                                           f"{exc}") from None

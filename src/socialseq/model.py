@@ -1,7 +1,7 @@
 """LSTM sequence classifier in four wirings, with exact gradients.
 
 Stack: per-frame FC + ReLU -> LSTM -> dropout on the final hidden state
-(train mode, inverted scaling) -> softmax head(s).
+(a mask the training loop draws, inverted scaling) -> softmax head(s).
 
   st-rel / st-dom  one softmax head over relations / domains
   mt-ind           domain and relation heads both read the hidden state
@@ -278,8 +278,7 @@ class ForwardTrace:
     """Cached activations from one forward pass, enough for exact backprop."""
 
     x: np.ndarray  # raw frames [T, in]
-    a: np.ndarray  # FC+ReLU output [T, h]
-    lstm: LstmTrace
+    lstm: LstmTrace  # its inputs are the FC+ReLU output [T, h]
     dropout_mask: np.ndarray | None
     h_drop: np.ndarray
     domain_probs: np.ndarray | None
@@ -294,21 +293,12 @@ class HeadOutputs:
     trace: ForwardTrace
 
 
-def forward(
-    model: ModelParams,
-    frames,
-    *,
-    train: bool = False,
-    dropout_rate: float = 0.0,
-    rng: Rng | None = None,
-    dropout_mask: np.ndarray | None = None,
-) -> HeadOutputs:
-    """Forward pass over one sequence.
+def forward(model: ModelParams, frames, dropout_mask: np.ndarray | None = None) -> HeadOutputs:
+    """Forward pass over one sequence, a pure function of its arguments.
 
-    In train mode with a positive dropout rate, an inverted-scaling dropout
-    mask is drawn from `rng` (or taken from `dropout_mask`, used by the
-    gradient checks) and applied to the final hidden state; eval mode is a
-    pure function of (params, frames).
+    A given `dropout_mask` [h] multiplies the final hidden state (training
+    draws it with inverted scaling, `training.dropout_masks`); without one
+    this is the eval-mode pass.
     """
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -319,17 +309,7 @@ def forward(
     relu(a, out=a)
     h_last, lstm_trace = lstm_forward(model.lstm, a)
 
-    mask = None
-    h_drop = h_last
-    if train and dropout_rate > 0.0:
-        if dropout_mask is not None:
-            mask = dropout_mask
-        else:
-            if rng is None:
-                raise ValueError("train-mode dropout needs an rng or an explicit mask")
-            keep = 1.0 - dropout_rate
-            mask = (rng.uniform(size=h_last.shape[0]) >= dropout_rate) / keep
-        h_drop = h_last * mask
+    h_drop = h_last if dropout_mask is None else h_last * dropout_mask
 
     domain_probs = None
     relation_probs = None
@@ -344,7 +324,7 @@ def forward(
         relation_probs = softmax(model.head_relation.w @ relation_input + model.head_relation.b)
 
     trace = ForwardTrace(
-        x=x, a=a, lstm=lstm_trace, dropout_mask=mask, h_drop=h_drop,
+        x=x, lstm=lstm_trace, dropout_mask=dropout_mask, h_drop=h_drop,
         domain_probs=domain_probs, relation_probs=relation_probs,
         relation_input=relation_input,
     )
@@ -452,7 +432,7 @@ def backward(
     d_a = lstm_backward(model.lstm, trace.lstm, d_h_last,
                         out=(grads["lstm.w"], grads["lstm.u"], grads["lstm.b"]))[-1]
 
-    d_pre = d_a * (trace.a > 0)
+    d_pre = d_a * (trace.lstm.inputs > 0)
     np.matmul(d_pre.T, trace.x, out=grads["fc_in.w"])
     d_pre.sum(axis=0, out=grads["fc_in.b"])
 

@@ -226,6 +226,15 @@ def task_class_weights(sequences: Sequence[SocialSequence]) -> dict[str, np.ndar
     return {"relation": class_weights(rel_counts), "domain": class_weights(dom_counts)}
 
 
+def dropout_masks(rng: Rng, n: int, hidden: int, rate: float) -> np.ndarray | list[None]:
+    """One inverted-scaling dropout mask per training sequence, row i for
+    sequence i, from one `uniform((n, hidden))` draw: the same stream and
+    bits as n draws of size `hidden`. No draw, and no masks, at rate 0."""
+    if rate == 0.0:
+        return [None] * n
+    return (rng.uniform(size=(n, hidden)) >= rate) / (1.0 - rate)
+
+
 def selection_mode(arch: Arch) -> str:
     """Validation metric used for model selection: relation macro-F1 when a
     relation head exists, domain macro-F1 otherwise."""
@@ -278,9 +287,9 @@ def train(
         loss_sum = 0.0
         # CE terms per sequence; the L2 term and its gradient are identical
         # for every sequence, so they are added once to the mean.
-        for seq, labels in zip(train_seqs, labels_cache):
-            out = forward(model, seq.frames, train=True,
-                          dropout_rate=cfg.dropout, rng=drop_rng)
+        masks = dropout_masks(drop_rng, n, cfg.hidden, cfg.dropout)
+        for seq, labels, mask in zip(train_seqs, labels_cache, masks):
+            out = forward(model, seq.frames, mask)
             loss_sum += joint_loss(out, labels, weights, 0.0, model)
             grads = backward(model, out.trace, labels, weights, 0.0, out=workspace)
             for name, g in grads.items():

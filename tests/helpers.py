@@ -16,12 +16,9 @@ from socialseq.synth import SynthConfig, generate_raw_corpus
 def finite_difference_grads(model, frames, labels, weights, l2, mask=None, eps=1e-5):
     """Central finite differences of joint_loss w.r.t. every parameter."""
     out = {}
-    train = mask is not None
 
     def loss():
-        o = forward(model, frames, train=train, dropout_rate=0.3 if train else 0.0,
-                    dropout_mask=mask)
-        return joint_loss(o, labels, weights, l2, model)
+        return joint_loss(forward(model, frames, mask), labels, weights, l2, model)
 
     for name, arr in model.named_arrays():
         g = np.zeros_like(arr)

@@ -221,8 +221,8 @@ class TestForward:
         acc = np.zeros(8)
         n = 10_000
         for _ in range(n):
-            out = forward(model, frames, train=True, dropout_rate=0.3, rng=rng)
-            acc += out.trace.h_drop
+            mask = (rng.uniform(size=8) >= 0.3) / 0.7
+            acc += forward(model, frames, mask).trace.h_drop
         mean = acc / n
         denom = np.maximum(np.abs(baseline), 1e-3)
         assert (np.abs(mean - baseline) / denom).max() < 0.03
@@ -304,7 +304,7 @@ class TestBackward:
         frames = rng.normal(size=(4, 6))
         mask = (rng.uniform(size=4) >= 0.3) / 0.7
         labels = (3, 6)
-        out = forward(model, frames, train=True, dropout_rate=0.3, dropout_mask=mask)
+        out = forward(model, frames, mask)
         analytic = backward(model, out.trace, labels, UNIT_WEIGHTS, 1e-3)
         numeric = finite_difference_grads(model, frames, labels, UNIT_WEIGHTS, 1e-3,
                                           mask=mask)
@@ -434,8 +434,8 @@ class TestGradientBuffers:
     def case(arch, t_len, seed):
         model = random_model(arch, seed, hidden=5)
         rng = Rng(seed + 1)
-        out = forward(model, rng.normal(size=(t_len, 6)), train=True,
-                      dropout_rate=0.3, rng=rng)
+        frames = rng.normal(size=(t_len, 6))
+        out = forward(model, frames, (rng.uniform(size=5) >= 0.3) / 0.7)
         labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
         return model, out.trace, labels
 

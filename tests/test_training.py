@@ -16,6 +16,7 @@ from socialseq.training import (
     accuracy,
     adam_step,
     benchmark_suite,
+    dropout_masks,
     evaluate,
     lr_schedule,
     macro_f1,
@@ -228,6 +229,64 @@ class TestTrain:
         assert rec.val_relation_f1 is not None
         assert rec.val_domain_f1 is not None
         assert rec.selection == rec.val_relation_f1
+
+
+class TestTrainCalls:
+    """`train` makes one `forward` and one `backward` per training sequence
+    and iteration, and one `evaluate` per head and iteration; the
+    benchmark's expected call counts rest on this contract."""
+
+    @pytest.mark.parametrize("arch, heads", [(Arch.MT_TD, 2), (Arch.ST_REL, 1)])
+    def test_per_sequence_calls(self, monkeypatch, arch, heads):
+        tr, va, _ = split_corpus(tiny_corpus())
+        cfg = TrainConfig(arch=arch, hidden=8, iterations=3, dropout=0.3, seed=4)
+        masks = []
+        counts = {"backward": 0, "evaluate": 0}
+        real_forward = training_mod.forward
+
+        def forward(model, frames, dropout_mask=None):
+            masks.append(dropout_mask)
+            return real_forward(model, frames, dropout_mask)
+
+        def counted(name):
+            real = getattr(training_mod, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(training_mod, "forward", forward)
+        for name in counts:
+            monkeypatch.setattr(training_mod, name, counted(name))
+        train(cfg, tr, va)
+
+        n_train, n_val, its = len(tr), len(va), cfg.iterations
+        assert counts["backward"] == its * n_train
+        assert len(masks) == its * (n_train + heads * n_val)
+        assert counts["evaluate"] == heads * its
+        # Training passes get row i of their iteration's block, in order;
+        # validation passes get no mask.
+        drawn = [m for m in masks if m is not None]
+        want = dropout_masks(Rng(cfg.seed).split("dropout"), its * n_train, cfg.hidden, 0.3)
+        assert len(drawn) == len(want)
+        assert all(np.array_equal(got, row) for got, row in zip(drawn, want))
+
+
+class TestDropoutMasks:
+    @pytest.mark.parametrize("hidden, n", [(1, 5), (16, 37), (128, 72)])
+    def test_block_equals_per_sequence_draws(self, hidden, n):
+        block_rng, seq_rng = Rng(7).split("dropout"), Rng(7).split("dropout")
+        block = dropout_masks(block_rng, n, hidden, 0.3)
+        assert block.shape == (n, hidden)
+        for row in block:
+            assert row.tobytes() == ((seq_rng.uniform(size=hidden) >= 0.3) / 0.7).tobytes()
+        assert block_rng.uniform() == seq_rng.uniform()  # the stream is left in step
+
+    def test_zero_rate_draws_nothing(self):
+        rng = Rng(7)
+        assert dropout_masks(rng, 5, 16, 0.0) == [None] * 5
+        assert rng.uniform() == Rng(7).uniform()
 
 
 class TestEvaluate:
