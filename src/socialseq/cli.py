@@ -2,8 +2,9 @@
 benchmark, synth.
 
 Configuration comes from flags and optional JSON config files only (no
-environment variables), and every artifact embeds the config hash, seed
-and toolkit version so runs are reproducible byte for byte. Exit codes:
+environment variables), every command runs with BLAS on one thread, and
+every artifact embeds the config hash, seed and toolkit version so runs
+are reproducible byte for byte. Exit codes:
 0 success; 2 for a missing, unreadable or damaged input file or an
 out-of-range flag value; 1 for a runtime or write failure.
 """
@@ -35,7 +36,7 @@ from socialseq.features import (
     load_raw_records,
 )
 from socialseq.model import forward, load_model, save_model
-from socialseq.numerics import PcaModel, Rng
+from socialseq.numerics import PcaModel, Rng, single_blas_thread
 from socialseq.splits import SplitSuite, load_split_suite, save_split_suite, select_splits
 from socialseq.synth import (
     SynthConfig,
@@ -424,7 +425,8 @@ def main(argv=None) -> int:
             sp = parsers[args.command]
             sp.set_defaults(**_config_defaults(sp, read_json(args.config)))
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with single_blas_thread():  # artifact bytes must not depend on the core count
+            return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

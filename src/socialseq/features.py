@@ -3,13 +3,13 @@
 Raw attribute blocks are quantized, CNN blocks compressed per attribute
 with PCA, and everything (plus wearer one-hots) concatenated into the
 459-wide frame vector described by a layout manifest; `ingest_raw_corpus`
-does all of this for a raw corpus directory. Augmentation fits a PCA on
-training frames and perturbs along its axes.
+does all of this for a raw corpus directory, whose blocks are one .npy
+matrix per attribute holding every record's frames in record order.
+Augmentation fits a PCA on training frames and perturbs along its axes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,46 +94,75 @@ def assemble_frame_vectors(
 
 def load_raw_records(path) -> tuple[list[dict], list[Relation]]:
     """The records of a raw corpus's sequences.json and their checked
-    relations. Each record holds an id, user, day, relation, domain and a
-    wearer object of integer age and gender categories."""
+    relations. Each record holds a unique id, user, day, relation, domain,
+    a wearer object of integer age and gender categories, and its integer
+    frame count."""
     records = read_json(path).get("sequences")
     if not isinstance(records, list) or not records:
         raise ValidationError(f"{path}: no list of sequence records under 'sequences'")
     relations = []
+    seen = set()
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValidationError(f"{path}: record {i} is not an object")
-        missing = {"id", "user", "day", "relation", "domain", "wearer"} - set(rec)
+        missing = {"id", "user", "day", "relation", "domain", "wearer", "frames"} - set(rec)
         if missing:
             raise ValidationError(
                 f"record {rec.get('id', '?')!r}: missing fields {sorted(missing)}"
             )
+        if not isinstance(rec["id"], str):
+            raise ValidationError(f"{path}: record {i} id {rec['id']!r} is not a string")
+        if rec["id"] in seen:
+            raise ValidationError(f"{path}: duplicate record id {rec['id']!r}")
+        seen.add(rec["id"])
         wearer = rec["wearer"]
         # type(...) is int, so neither a JSON float nor a bool passes
         if not (isinstance(wearer, dict)
                 and all(type(wearer.get(k)) is int for k in ("age", "gender"))):
             raise ValidationError(f"record {rec['id']!r}: wearer needs integer 'age' "
                                   f"and 'gender' categories, got {wearer!r}")
+        if not (type(rec["frames"]) is int and rec["frames"] >= 1):
+            raise ValidationError(f"record {rec['id']!r}: frames needs an integer >= 1, "
+                                  f"got {rec['frames']!r}")
         relations.append(record_relation(rec))
     return records, relations
+
+
+def _load_block(path, n_frames: int) -> np.ndarray:
+    """One attribute's stacked raw block: the [n_frames, raw_width] real
+    matrix in the .npy file at `path`, as float64. Never unpickles."""
+    try:
+        with open(path, "rb") as fh:  # .npy only: no .npz, no pickles
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read block file {path}: {exc}") from None
+    if data.ndim != 2 or data.dtype.kind not in "iuf":
+        raise ValidationError(f"{path}: needs a 2-d integer or float array, "
+                              f"got {data.dtype} of shape {data.shape}")
+    data = data.astype(np.float64, copy=False)
+    if not np.isfinite(data).all():
+        raise ValidationError(f"{path} has non-finite entries")
+    if data.shape[0] != n_frames:
+        raise ValidationError(f"{path}: {data.shape[0]} rows, the records' frames "
+                              f"sum to {n_frames}")
+    return data
 
 
 def ingest_raw_corpus(
     raw_dir, fit_groups=None, quant_levels: int = 32,
 ) -> tuple[Dataset, dict[str, PcaModel]]:
     """Read a raw corpus directory (manifest.json, sequences.json and one
-    blocks/<id>__<attribute>.txt matrix per record and block entry) into a
-    dataset with empty meta, and the PCA of each CNN attribute in layout
-    order. CNN blocks are quantized and PCA-compressed to their manifest
-    width, fitted on the frames of the `fit_groups` (user, day) groups in
-    file order, or on every frame when None; other blocks pass through.
-    Malformed input raises ValidationError naming the record, file or
-    attribute."""
+    blocks/<attribute>.npy matrix per block entry, its rows every record's
+    frames in record order) into a dataset with empty meta, and the PCA of
+    each CNN attribute in layout order. CNN blocks are quantized and
+    PCA-compressed to their manifest width, fitted on the frames of the
+    `fit_groups` (user, day) groups in file order, or on every frame when
+    None; other blocks pass through. Malformed input raises
+    ValidationError naming the record, file or attribute."""
     raw_dir = Path(raw_dir)
     manifest = load_manifest(raw_dir / "manifest.json")
     records, relations = load_raw_records(raw_dir / "sequences.json")
-    attrs = manifest.block_entries
-    # the category range rule, before any block file is parsed
+    # the category range rule, before any block file is read
     wearer = np.array([[rec["wearer"]["age"], rec["wearer"]["gender"]] for rec in records])
     widths = [manifest.entry(name).width for name in WEARER_FIELDS]
     bad = np.argwhere((wearer < 0) | (wearer >= widths))
@@ -141,8 +170,10 @@ def ingest_raw_corpus(
         i, j = bad[0]
         raise ValidationError(f"record {records[i]['id']!r}: {WEARER_FIELDS[j]} category "
                               f"{wearer[i, j]} out of range [0, {widths[j]})")
+    lengths = np.array([rec["frames"] for rec in records], dtype=np.intp)
+    n_frames = int(lengths.sum())
 
-    in_fit = None
+    fit_rows = None
     if fit_groups is not None:
         by_group: dict[tuple[str, str], list[int]] = {}
         for i, rec in enumerate(records):
@@ -151,41 +182,13 @@ def ingest_raw_corpus(
         in_fit[sequences_in_groups(by_group, fit_groups)] = True
         if not in_fit.any():
             raise ValidationError("fit_groups select no records")
+        fit_rows = np.flatnonzero(np.repeat(in_fit, lengths))
 
-    raw_blocks: dict[str, list[np.ndarray]] = {e.name: [] for e in attrs}
-    lengths = np.zeros(len(records), dtype=np.intp)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty file
-        for i, rec in enumerate(records):
-            where = f"record {rec['id']!r}"
-            for e in attrs:
-                path = raw_dir / "blocks" / f"{rec['id']}__{e.name}.txt"
-                try:  # a handle, not a path, skips numpy's per-path URL handling
-                    with open(path) as fh:
-                        data = np.loadtxt(fh, ndmin=2)
-                except (OSError, ValueError, UserWarning) as exc:
-                    raise ValidationError(f"{where}: cannot read block file {path}: "
-                                          f"{exc}") from None
-                if not np.isfinite(data).all():
-                    raise ValidationError(f"{where}: {path} has non-finite entries")
-                blocks = raw_blocks[e.name]
-                if blocks and data.shape[1] != blocks[0].shape[1]:
-                    raise ValidationError(
-                        f"{where}: {path} has {data.shape[1]} columns, the first "
-                        f"record's {e.name} block has {blocks[0].shape[1]}"
-                    )
-                blocks.append(data)
-            counts = {raw_blocks[e.name][-1].shape[0] for e in attrs}
-            if len(counts) != 1:
-                raise ValidationError(f"{where}: blocks disagree on frame count")
-            lengths[i] = counts.pop()
-
-    fit_rows = None if in_fit is None else np.flatnonzero(np.repeat(in_fit, lengths))
     columns: dict[str, np.ndarray] = {}
     pcas: dict[str, PcaModel] = {}
-    for e in attrs:
-        columns[e.name], model = compress_attribute(
-            e, np.concatenate(raw_blocks[e.name]), quant_levels, fit_rows)
+    for e in manifest.block_entries:
+        data = _load_block(raw_dir / "blocks" / f"{e.name}.npy", n_frames)
+        columns[e.name], model = compress_attribute(e, data, quant_levels, fit_rows)
         if model is not None:
             pcas[e.name] = model
     for j, (name, width) in enumerate(zip(WEARER_FIELDS, widths)):

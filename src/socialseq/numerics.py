@@ -1,13 +1,19 @@
-"""Shared numerical kernels: activations, KL divergence, PCA, seeded RNG.
+"""Shared numerical kernels: activations, KL divergence, PCA, seeded RNG,
+and the BLAS thread pin.
 
 Everything here is pure and 64-bit; random draws always flow through an
-explicit `Rng` so that pipelines are reproducible bit for bit.
+explicit `Rng`, and BLAS runs on one thread inside `single_blas_thread`,
+so that pipelines are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +48,40 @@ class Rng(np.random.Generator):
 
     def __setstate__(self, state: dict) -> None:
         self.bit_generator.state = state
+
+
+# where numpy >= 2 wheels from PyPI keep their OpenBLAS (scipy-openblas):
+# numpy.libs/ beside the package on Linux and Windows, numpy/.dylibs/ on macOS
+_BUNDLED_LIB_DIRS = (Path(np.__file__).parent.parent / "numpy.libs",
+                     Path(np.__file__).parent / ".dylibs")
+
+
+def _openblas() -> ctypes.CDLL:
+    """numpy's bundled OpenBLAS, the library with the thread-count calls.
+    OSError when there is none (conda, distro and Accelerate builds)."""
+    for folder in _BUNDLED_LIB_DIRS:
+        for lib in sorted(glob.glob(str(folder / "*openblas*"))):
+            handle = ctypes.CDLL(lib)
+            if hasattr(handle, "scipy_openblas_set_num_threads64_"):
+                return handle
+    raise OSError("no OpenBLAS with scipy_openblas_set_num_threads64_ bundled with "
+                  f"numpy {np.__version__}; cannot pin BLAS to one thread (socialseq "
+                  "needs a numpy >= 2 wheel from PyPI)")
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with OpenBLAS on one thread, restoring the thread count
+    after. Some eigendecompositions and products (augment's 459-wide PCA
+    among them) change their last bits with the thread count, so this keeps
+    results independent of the core count."""
+    blas = _openblas()
+    before = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        blas.scipy_openblas_set_num_threads64_(before)
 
 
 def _key_code(key: int | str) -> int:

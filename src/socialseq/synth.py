@@ -159,23 +159,23 @@ def generate_corpus(cfg: SynthConfig) -> Dataset:
 
 
 def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> None:
-    """Write a pre-ingest corpus: per-(sequence, attribute) raw block files,
-    a layout manifest, and a sequences.json with labels, provenance and
-    wearer categories. The raw CNN blocks carry the same class structure in
-    `raw_cnn_width` dimensions so ingest's compression keeps the signal.
+    """Write a pre-ingest corpus: a layout manifest, a sequences.json with
+    labels, provenance, wearer categories and frame counts, and one
+    blocks/<attribute>.npy raw matrix per block entry, every sequence's
+    frames stacked in record order. The raw CNN blocks carry the same
+    class structure in `raw_cnn_width` dimensions so ingest's compression
+    keeps the signal.
     """
     out_dir = Path(out_dir)
     blocks_dir = out_dir / "blocks"
     blocks_dir.mkdir(parents=True, exist_ok=True)
     save_manifest(out_dir / "manifest.json", default_manifest())
     raw_attrs = [(name, raw_cnn_width) for name in CNN_ATTRIBUTES] + [("proximity", 2)]
+    stacks: dict[str, list[np.ndarray]] = {name: [] for name, _ in raw_attrs}
     records = []
     for seq_id, relation, (user, day), blocks, (age, gender) in _generate(cfg, raw_attrs):
         for name, data in blocks.items():
-            # np.savetxt's default layout, formatted in one call
-            row_fmt = " ".join(["%.18e"] * data.shape[1]) + "\n"
-            (blocks_dir / f"{seq_id}__{name}.txt").write_text(
-                (row_fmt * data.shape[0]) % tuple(data.ravel().tolist()))
+            stacks[name].append(data)
         records.append({
             "id": seq_id,
             "user": user,
@@ -183,7 +183,10 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
             "relation": relation.label,
             "domain": domain_of(relation).label,
             "wearer": {"age": age, "gender": gender},
+            "frames": len(blocks["proximity"]),
         })
+    for name, parts in stacks.items():
+        np.save(blocks_dir / f"{name}.npy", np.concatenate(parts))
     write_json(out_dir / "sequences.json", {"sequences": records, "synth_config": cfg.to_json()})
 
 

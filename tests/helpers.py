@@ -125,11 +125,64 @@ def _both(*mutations):
     return mutate
 
 
-def _edit_blocks(pattern, edit):
+def _block(raw, name):
+    return raw / "blocks" / f"{name}.npy"
+
+
+def _edit_block(name, edit):
     def mutate(raw):
-        for path in raw.glob(f"blocks/{pattern}"):
-            path.write_text(edit(path.read_text()))
+        np.save(_block(raw, name), edit(np.load(_block(raw, name))))
     return mutate
+
+
+def _unlink_block(name):
+    return lambda raw: _block(raw, name).unlink()
+
+
+def _write_block_bytes(name, data: bytes):
+    return lambda raw: _block(raw, name).write_bytes(data)
+
+
+class _OpensMarker:
+    """Unpickles into open(marker, "w"), so a loader that unpickles it
+    leaves the marker file behind."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+UNPICKLED_MARKER = "unpickled"  # under the raw directory
+
+
+def _write_object_block(name):
+    def mutate(raw):
+        payload = np.array([[_OpensMarker(raw / UNPICKLED_MARKER)]], dtype=object)
+        np.save(_block(raw, name), payload, allow_pickle=True)
+    return mutate
+
+
+def _write_npz_block(name):
+    def mutate(raw):
+        block = np.load(_block(raw, name))
+        with open(_block(raw, name), "wb") as fh:  # np.savez would append .npz
+            np.savez(fh, block=block)
+    return mutate
+
+
+def _truncate_block(name, keep):
+    def mutate(raw):
+        path = _block(raw, name)
+        path.write_bytes(path.read_bytes()[:keep])
+    return mutate
+
+
+def _first_row_nan(a):
+    a = a.copy()
+    a[0, 0] = np.nan
+    return a
 
 
 def _edit_manifest_entry(name, **fields):
@@ -143,9 +196,14 @@ def _edit_manifest_entry(name, **fields):
     return mutate
 
 
-def _drop_columns(keep):
-    return lambda text: "".join(" ".join(line.split()[:keep]) + "\n"
-                                for line in text.splitlines())
+def _drop_first_record_frames(meta):
+    del meta["sequences"][0]["frames"]
+    return meta
+
+
+def _repeat_first_id(meta):
+    meta["sequences"][1]["id"] = meta["sequences"][0]["id"]
+    return meta
 
 
 # (case, mutation of a write_raw_corpus directory, text the error must name)
@@ -154,10 +212,18 @@ MALFORMED_RAW = [
     ("wearer-string", _set_first_record("wearer", "x"), "'seq0000'"),
     ("age-string", _set_first_record("wearer", {"age": "1", "gender": 0}), "'seq0000'"),
     ("age-float", _set_first_record("wearer", {"age": 1.5, "gender": 0}), "'seq0000'"),
-    # the wearer check comes before any block file is read
+    # the record checks come before any block file is read
     ("age-out-of-range", _both(_set_first_record("wearer", {"age": 9, "gender": 0}),
-                               lambda raw: (raw / "blocks" / "seq0001__clothing.txt").unlink()),
+                               _unlink_block("clothing")),
      "'seq0000': wearer-age category 9"),
+    ("duplicate-id", _both(_edit_records(_repeat_first_id), _unlink_block("clothing")),
+     "duplicate record id 'seq0000'"),
+    ("frames-missing", _edit_records(_drop_first_record_frames),
+     "'seq0000': missing fields ['frames']"),
+    ("frames-zero", _set_first_record("frames", 0), "'seq0000'"),
+    ("frames-float", _set_first_record("frames", 2.5), "'seq0000'"),
+    ("frames-string", _set_first_record("frames", "10"), "'seq0000'"),
+    ("frames-bool", _set_first_record("frames", True), "'seq0000'"),
     ("relation-list", _set_first_record("relation", []), "'seq0000'"),
     ("top-level-list", _edit_records(lambda meta: meta["sequences"]), "sequences.json"),
     ("manifest-entries-not-a-list",
@@ -168,22 +234,21 @@ MALFORMED_RAW = [
      "manifest.json: manifest entry 'proximity'"),
     ("manifest-is-cnn-string", _edit_manifest_entry("proximity", is_cnn="false"),
      "manifest.json: manifest entry 'proximity'"),
-    ("block-missing", lambda raw: (raw / "blocks" / "seq0001__clothing.txt").unlink(),
-     "seq0001__clothing.txt"),
-    ("block-one-row-short",
-     _edit_blocks("seq0002__activities.txt", lambda text: text[:text.rindex("\n", 0, -1) + 1]),
-     "'seq0002': blocks disagree on frame count"),
-    ("block-text", _edit_blocks("seq0001__clothing.txt", lambda text: "abc def\n"),
-     "seq0001__clothing.txt"),
-    ("block-nan", _edit_blocks("seq0001__clothing.txt",
-                               lambda text: "nan" + text[text.index(" "):]),
-     "seq0001__clothing.txt"),
-    ("block-one-column-narrower", _edit_blocks("seq0002__activities.txt", _drop_columns(55)),
-     "seq0002__activities.txt"),
-    ("block-empty", _edit_blocks("seq0001__proximity.txt", lambda text: ""),
-     "seq0001__proximity.txt"),
-    ("cnn-narrower-than-manifest", _edit_blocks("*__activities.txt", _drop_columns(40)),
+    ("block-missing", _unlink_block("clothing"), "clothing.npy"),
+    ("block-one-row-short", _edit_block("activities", lambda a: a[:-1]),
+     "activities.npy: 156 rows, the records' frames sum to 157"),
+    ("block-text", _write_block_bytes("clothing", b"abc def\n"), "clothing.npy"),
+    ("block-nan", _edit_block("clothing", _first_row_nan), "clothing.npy"),
+    ("block-empty", _write_block_bytes("proximity", b""), "proximity.npy"),
+    ("block-npz", _write_npz_block("clothing"), "clothing.npy"),
+    ("block-npz-truncated", _both(_write_npz_block("clothing"), _truncate_block("clothing", 100)),
+     "clothing.npy"),
+    ("block-truncated", _truncate_block("clothing", -8), "clothing.npy"),
+    ("block-1d", _edit_block("clothing", np.ravel), "clothing.npy"),
+    ("block-complex", _edit_block("clothing", lambda a: a.astype(complex)), "clothing.npy"),
+    ("block-object", _write_object_block("clothing"), "clothing.npy"),
+    ("cnn-narrower-than-manifest", _edit_block("activities", lambda a: a[:, :40]),
      "'activities'"),
-    ("proximity-narrower-than-manifest", _edit_blocks("*__proximity.txt", _drop_columns(1)),
+    ("proximity-narrower-than-manifest", _edit_block("proximity", lambda a: a[:, :1]),
      "'proximity'"),
 ]

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import MALFORMED_RAW, write_raw_corpus
+from helpers import MALFORMED_RAW, UNPICKLED_MARKER, write_raw_corpus
 
+from socialseq import numerics
 from socialseq.cli import build_parser, main
 from socialseq.container import MAGIC, read_container, write_container
 from socialseq.dataset import Dataset, LayoutManifest, ManifestEntry, load_dataset, save_dataset
@@ -358,6 +363,34 @@ class TestAugmentCommand:
             assert a.relation == src.relation
             assert a.frames.shape == src.frames.shape
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """augment fits a 459-wide PCA, whose eigh changes its last bits with
+        the OpenBLAS thread count unless the CLI pins BLAS to one thread."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        augmented = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            ds, aug = tmp_path / f"corpus-{threads}.dat", tmp_path / f"aug-{threads}.dat"
+            for argv in (["synth", "--out", ds, "--sequences", 60, "--users", 3,
+                          "--days-per-user", 2, "--min-len", 5, "--max-len", 8, "--seed", 0],
+                         ["augment", "--dataset", ds, "--out", aug, "--seed", 0]):
+                proc = subprocess.run([sys.executable, "-m", "socialseq.cli", *map(str, argv)],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            augmented.append(aug.read_bytes())
+        assert augmented[0] == augmented[1]
+
+    def test_exits_1_when_blas_cannot_be_pinned(self, tmp_path, monkeypatch, capsys):
+        """a numpy with no bundled OpenBLAS (conda, distro, Accelerate) gets
+        a one-line refusal, not a traceback, and no artifact."""
+        monkeypatch.setattr(numerics, "_BUNDLED_LIB_DIRS", (tmp_path,))
+        out = tmp_path / "corpus.dat"
+        assert run(["synth", "--out", out, "--sequences", 4, "--users", 2,
+                    "--days-per-user", 2, "--seed", 0]) == 1
+        assert "cannot pin BLAS to one thread" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_raw_corpus_round_trip(self, tmp_path, capsys):
@@ -441,6 +474,7 @@ class TestIngest:
         assert err.startswith("validation error") and names in err
         assert not (tmp_path / "x.dat").exists()
         assert not (tmp_path / "x.dat.pca").exists()
+        assert not (raw / UNPICKLED_MARKER).exists()
 
     def test_quant_levels_below_two_exits_2(self, tmp_path):
         raw = write_raw_corpus(tmp_path / "raw")
@@ -456,6 +490,17 @@ class TestIngest:
         assert run(["split", "--sequences", raw / "labels.json",
                     "--out", tmp_path / "b.json", *argv]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_split_refuses_a_duplicate_record_id(self, tmp_path, capsys):
+        raw = write_raw_corpus(tmp_path / "raw")
+        path = raw / "sequences.json"
+        meta = json.loads(path.read_text())
+        meta["sequences"][3]["id"] = meta["sequences"][2]["id"]
+        path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run(["split", "--sequences", path, "--out", tmp_path / "s.json"]) == 2
+        assert "duplicate record id 'seq0002'" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_split_rejects_sequences_file_without_records_object(self, tmp_path, capsys):
         path = tmp_path / "sequences.json"

@@ -4,7 +4,7 @@ import shutil
 
 import numpy as np
 import pytest
-from helpers import MALFORMED_RAW, write_raw_corpus
+from helpers import MALFORMED_RAW, UNPICKLED_MARKER, write_raw_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,15 +114,16 @@ def raw_corpus(tmp_path_factory):
     return raw, records
 
 
-def raw_block(raw, rec, name):
-    return np.loadtxt(raw / "blocks" / f"{rec['id']}__{name}.txt", ndmin=2)
+def raw_block(raw, records, i, name):
+    """Record i's rows of one attribute's stacked raw block."""
+    start = sum(rec["frames"] for rec in records[:i])
+    return np.load(raw / "blocks" / f"{name}.npy")[start:start + records[i]["frames"]]
 
 
-def quantized_frames(raw, records, name):
-    """One attribute's raw blocks stacked in record order and quantized as
-    ingest quantizes them (over every frame, at the default 32 levels)."""
-    stacked = np.concatenate([raw_block(raw, rec, name) for rec in records])
-    return quantize(stacked, 32)
+def quantized_frames(raw, name):
+    """One attribute's stacked raw block quantized as ingest quantizes it
+    (over every frame, at the default 32 levels)."""
+    return quantize(np.load(raw / "blocks" / f"{name}.npy"), 32)
 
 
 class TestIngestRawCorpus:
@@ -134,15 +135,15 @@ class TestIngestRawCorpus:
                            [s.frames.shape[0] for s in ds.sequences])
         assert 0 < in_fit.sum() < in_fit.size
         for name, pca in pcas.items():
-            q = quantized_frames(raw, records, name)
+            q = quantized_frames(raw, name)
             assert np.array_equal(pca.mean, q[in_fit].mean(axis=0))
             assert not np.allclose(pca.mean, q.mean(axis=0))
 
     def test_without_fit_groups_every_frame_is_fitted(self, raw_corpus):
-        raw, records = raw_corpus
+        raw = raw_corpus[0]
         _, pcas = ingest_raw_corpus(raw)
         for name, pca in pcas.items():
-            assert np.array_equal(pca.mean, quantized_frames(raw, records, name).mean(axis=0))
+            assert np.array_equal(pca.mean, quantized_frames(raw, name).mean(axis=0))
 
     def test_sequences_follow_the_records(self, raw_corpus):
         raw, records = raw_corpus
@@ -150,8 +151,8 @@ class TestIngestRawCorpus:
         assert [s.id for s in ds.sequences] == [r["id"] for r in records]
         assert ds.meta == {}
         ranges = ds.manifest.ranges()
-        for seq, rec in zip(ds.sequences, records):
-            proximity = raw_block(raw, rec, "proximity")
+        for i, (seq, rec) in enumerate(zip(ds.sequences, records)):
+            proximity = raw_block(raw, records, i, "proximity")
             t_len = proximity.shape[0]
             assert seq.frames.shape == (t_len, 459)
             assert (seq.user, seq.day, seq.relation.label) == (
@@ -177,6 +178,7 @@ class TestIngestRawCorpus:
         mutate(raw)
         with pytest.raises(ValidationError, match=re.escape(names)):
             ingest_raw_corpus(raw)
+        assert not (raw / UNPICKLED_MARKER).exists()
 
 
 def make_sequences(rng, n=4, t=6, width=12):

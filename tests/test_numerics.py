@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from socialseq import numerics
 from socialseq.numerics import (
     PcaModel,
     Rng,
@@ -15,6 +16,7 @@ from socialseq.numerics import (
     pca_fit,
     pca_transform,
     relu,
+    single_blas_thread,
     softmax,
 )
 
@@ -293,3 +295,12 @@ class TestRng:
             assert np.array_equal(twin.integers(0, 2**62, size=4), expected)
             assert np.array_equal(twin.split("b").normal(size=5),
                                   original.split("b").normal(size=5))
+
+
+class TestSingleBlasThread:
+    def test_pins_one_thread_and_restores_the_count(self):
+        blas = numerics._openblas()
+        before = blas.scipy_openblas_get_num_threads64_()
+        with single_blas_thread():
+            assert blas.scipy_openblas_get_num_threads64_() == 1
+        assert blas.scipy_openblas_get_num_threads64_() == before
