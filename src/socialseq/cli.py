@@ -192,6 +192,9 @@ def cmd_synth(args) -> int:
         within_style=args.within_style, seed=args.seed,
     )
     run_hash = config_hash({"command": "synth", **cfg.to_json()})
+    if args.raw_dir:  # first: it refuses a too narrow --raw-cnn-width before writing
+        generate_raw_corpus(cfg, args.raw_dir, raw_cnn_width=args.raw_cnn_width)
+        print(f"wrote raw corpus under {args.raw_dir}")
     if args.out:
         ds = generate_corpus(cfg)
         ds.meta.update({"config_hash": run_hash, "seed": cfg.seed,
@@ -199,9 +202,6 @@ def cmd_synth(args) -> int:
         save_dataset(args.out, ds)
         print(f"wrote {args.out}: {len(ds.sequences)} sequences, "
               f"width {ds.manifest.total_width}")
-    if args.raw_dir:
-        generate_raw_corpus(cfg, args.raw_dir, raw_cnn_width=args.raw_cnn_width)
-        print(f"wrote raw corpus under {args.raw_dir}")
     return EXIT_OK
 
 

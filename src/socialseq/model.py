@@ -10,7 +10,9 @@ Stack: per-frame FC + ReLU -> LSTM -> dropout on the final hidden state
 
 `backward` is a hand-rolled BPTT that matches the loss exactly, including
 the gradient path from the relation loss through the domain softmax in
-mt-td. It is checked against central finite differences in the tests.
+mt-td. It is checked against central finite differences in the tests. It
+packs each sequence's per-frame deltas into a `GradientSum`, which forms
+the weight gradients of any number of sequences with one product each.
 """
 
 from __future__ import annotations
@@ -210,15 +212,10 @@ def lstm_forward(params: LstmParams, inputs) -> tuple[np.ndarray, LstmTrace]:
     return hs[-1], trace
 
 
-def lstm_backward(
-    params: LstmParams, trace: LstmTrace, d_h_last: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT given the gradient at the final hidden state.
-
-    Returns (dw, du, db, d_inputs). When `out` holds (dw, du, db) arrays of
-    the parameters' shapes, the gradients are written into them and they are
-    the arrays returned."""
+def lstm_backward(params: LstmParams, trace: LstmTrace, d_h_last: np.ndarray) -> np.ndarray:
+    """BPTT given the gradient at the final hidden state; returns dz [T, 4h],
+    the loss gradient at each timestep's gate pre-activations. Every
+    parameter and input gradient is a product of these (`GradientSum`)."""
     t_len, h = trace.h.shape
     gates = trace.gates.reshape(t_len, 4, h)
     i, f, o, g = gates.transpose(1, 0, 2)
@@ -258,19 +255,7 @@ def lstm_backward(
         np.multiply.reduce(fac_t, axis=0, out=dz.reshape(4, h))  # slot by slot, in order
         np.matmul(u_t, dz, out=dh)
         dc *= f_t
-    # Parameter gradients collapse to single matmuls over the timestep axis;
-    # the t=0 recurrent term vanishes because h_{-1} = 0.
-    if out is None:
-        out = (np.empty_like(params.w), np.empty_like(params.u), np.empty_like(params.b))
-    dw, du, db = out
-    np.matmul(dz_all.T, trace.inputs, out=dw)
-    if t_len > 1:
-        np.matmul(dz_all[1:].T, trace.h[:-1], out=du)
-    else:
-        du.fill(0.0)
-    dz_all.sum(axis=0, out=db)
-    d_inputs = dz_all @ params.w
-    return dw, du, db, d_inputs
+    return dz_all
 
 
 @dataclass(eq=False)
@@ -386,6 +371,77 @@ def _ce_softmax_grad(probs: np.ndarray, label: int, weights: np.ndarray) -> np.n
     return dz
 
 
+class GradientSum:
+    """The deltas of any number of `backward` calls, packed row-wise, from
+    which `gradients` forms the mean loss's gradients with one product per
+    weight matrix.
+
+    Per frame it keeps the FC input x, the LSTM input a (the FC+ReLU
+    output), h_{t-1} (zero at t = 0) and the gate gradient dz; per sequence,
+    each head's logit gradient and input. Every gradient is linear in these:
+    lstm.w = dZᵀA, lstm.u = dZᵀH_{t-1}, fc_in.w = (dZ·W ∘ [A > 0])ᵀX and
+    head.w = dZ_headᵀ input, with column sums for the biases. The buffers
+    are sized once, for `sequences` sequences of `frames` frames in all;
+    `clear` empties the sum and keeps them, so a training loop reuses them
+    every iteration, and no trace is kept past its own `backward` call."""
+
+    def __init__(self, model: ModelParams, frames: int, sequences: int):
+        self._model = model
+        h = model.hidden
+        self._buffers = {"x": np.empty((frames, model.input_dim)), "a": np.empty((frames, h)),
+                         "h_prev": np.empty((frames, h)), "dz": np.empty((frames, 4 * h))}
+        for layer in ("head_domain", "head_relation"):
+            if getattr(model, layer) is not None:
+                n_out, n_in = getattr(model, layer).w.shape
+                self._buffers[f"{layer}.dz"] = np.empty((sequences, n_out))
+                self._buffers[f"{layer}.in"] = np.empty((sequences, n_in))
+        self.clear()
+
+    def clear(self) -> None:
+        self.frames = 0
+        self.sequences = 0
+
+    def add(self, trace: ForwardTrace, dz: np.ndarray, head_deltas: Mapping[str, np.ndarray]):
+        """Append one sequence: its trace, its `lstm_backward` dz and each
+        head layer's logit gradient."""
+        buf, f, s = self._buffers, self.frames, self.sequences
+        end = f + len(dz)
+        buf["x"][f:end] = trace.x
+        buf["a"][f:end] = trace.lstm.inputs
+        buf["h_prev"][f] = 0.0
+        buf["h_prev"][f + 1:end] = trace.lstm.h[:-1]
+        buf["dz"][f:end] = dz
+        inputs = {"head_domain": trace.h_drop, "head_relation": trace.relation_input}
+        for layer, delta in head_deltas.items():
+            buf[f"{layer}.dz"][s] = delta
+            buf[f"{layer}.in"][s] = inputs[layer]
+        self.frames, self.sequences = end, s + 1
+
+    def gradients(self, l2: float) -> dict[str, np.ndarray]:
+        """Gradients of the mean loss over the added sequences plus the L2
+        penalty, keyed and ordered as `model.named_arrays()`."""
+        if not self.sequences:
+            raise ValueError("no sequence has been added")
+        buf, model = self._buffers, self._model
+        x, a, h_prev, dz = (buf[name][:self.frames] for name in ("x", "a", "h_prev", "dz"))
+        d_pre = dz @ model.lstm.w
+        d_pre *= a > 0
+        grads = {
+            "fc_in.w": d_pre.T @ x, "fc_in.b": d_pre.sum(axis=0),
+            "lstm.w": dz.T @ a, "lstm.u": dz.T @ h_prev, "lstm.b": dz.sum(axis=0),
+        }
+        for layer in ("head_domain", "head_relation"):
+            if getattr(model, layer) is not None:
+                delta = buf[f"{layer}.dz"][:self.sequences]
+                grads[f"{layer}.w"] = delta.T @ buf[f"{layer}.in"][:self.sequences]
+                grads[f"{layer}.b"] = delta.sum(axis=0)
+        for name, arr in model.named_arrays():
+            grads[name] /= self.sequences
+            if l2 and name.endswith(".w"):
+                grads[name] += l2 * arr
+        return grads
+
+
 def backward(
     model: ModelParams,
     trace: ForwardTrace,
@@ -393,26 +449,35 @@ def backward(
     weights: Mapping[str, np.ndarray],
     l2: float,
     *,
-    out: Mapping[str, np.ndarray] | None = None,
-) -> Mapping[str, np.ndarray]:
+    out: GradientSum | None = None,
+) -> Mapping[str, np.ndarray] | None:
     """Exact gradients of joint_loss w.r.t. every parameter.
 
     In mt-td the relation loss backpropagates through the domain softmax
-    into the domain head and the shared trunk. `out`, a map from each
-    parameter name to an array of its shape, receives the gradients in
-    place and is returned; a training loop passes one per call to reuse the
-    buffers across sequences."""
+    into the domain head and the shared trunk. This computes the sequence's
+    head deltas and BPTT dz and appends them to `out`, a sum for this model
+    whose `gradients` adds the L2 term; a training loop passes one sum for
+    all its sequences. Without `out` it returns the one sequence's
+    gradients, L2 included."""
+    if out is not None:
+        _backward_into(model, trace, labels, weights, out)
+        return None
+    one = GradientSum(model, len(trace.x), 1)
+    _backward_into(model, trace, labels, weights, one)
+    return one.gradients(l2)
+
+
+def _backward_into(model: ModelParams, trace: ForwardTrace, labels: tuple[int, int],
+                   weights: Mapping[str, np.ndarray], out: GradientSum) -> None:
     domain_label, relation_label = labels
-    grads = out if out is not None else {
-        name: np.empty_like(arr) for name, arr in model.named_arrays()}
     h = model.hidden
     d_hdrop = np.zeros(h)
+    head_deltas = {}
     dz_domain = np.zeros(N_DOMAINS) if model.head_domain is not None else None
 
     if model.head_relation is not None:
         dz_rel = _ce_softmax_grad(trace.relation_probs, relation_label, weights["relation"])
-        np.multiply.outer(dz_rel, trace.relation_input, out=grads["head_relation.w"])
-        np.copyto(grads["head_relation.b"], dz_rel)
+        head_deltas["head_relation"] = dz_rel
         d_rel_in = model.head_relation.w.T @ dz_rel
         if model.arch is Arch.MT_TD:
             d_hdrop += d_rel_in[:h]
@@ -424,23 +489,11 @@ def backward(
 
     if model.head_domain is not None:
         dz_domain += _ce_softmax_grad(trace.domain_probs, domain_label, weights["domain"])
-        np.multiply.outer(dz_domain, trace.h_drop, out=grads["head_domain.w"])
-        np.copyto(grads["head_domain.b"], dz_domain)
+        head_deltas["head_domain"] = dz_domain
         d_hdrop += model.head_domain.w.T @ dz_domain
 
     d_h_last = d_hdrop * trace.dropout_mask if trace.dropout_mask is not None else d_hdrop
-    d_a = lstm_backward(model.lstm, trace.lstm, d_h_last,
-                        out=(grads["lstm.w"], grads["lstm.u"], grads["lstm.b"]))[-1]
-
-    d_pre = d_a * (trace.lstm.inputs > 0)
-    np.matmul(d_pre.T, trace.x, out=grads["fc_in.w"])
-    d_pre.sum(axis=0, out=grads["fc_in.b"])
-
-    if l2:
-        for name, arr in model.named_arrays():
-            if name.endswith(".w"):
-                grads[name] += l2 * arr
-    return grads
+    out.add(trace, lstm_backward(model.lstm, trace.lstm, d_h_last), head_deltas)
 
 
 def save_model(path, model: ModelParams, *, manifest_hash: str = "",

@@ -164,8 +164,14 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
     blocks/<attribute>.npy raw matrix per block entry, every sequence's
     frames stacked in record order. The raw CNN blocks carry the same
     class structure in `raw_cnn_width` dimensions so ingest's compression
-    keeps the signal.
+    keeps the signal; it must be at least the manifest's CNN width, which
+    ingest compresses them to.
     """
+    need = max(e.width for e in default_manifest().entries if e.is_cnn)
+    if raw_cnn_width < need:
+        raise ValidationError(
+            f"--raw-cnn-width {raw_cnn_width}: raw CNN blocks must be at least {need} wide, "
+            f"the width ingest compresses them to")
     out_dir = Path(out_dir)
     blocks_dir = out_dir / "blocks"
     blocks_dir.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from socialseq.dataset import SocialSequence, ValidationError, sequences_in_grou
 from socialseq.features import AugmentConfig, augment
 from socialseq.model import (
     Arch,
+    GradientSum,
     ModelParams,
     backward,
     class_weights,
@@ -25,7 +26,7 @@ from socialseq.model import (
     joint_loss,
     l2_penalty,
 )
-from socialseq.numerics import Rng
+from socialseq.numerics import Rng, single_blas_thread
 from socialseq.taxonomy import N_DOMAINS, N_RELATIONS, infer_domain_distribution
 
 # Evaluation mode -> (head whose probabilities it reads, level it scores).
@@ -241,12 +242,16 @@ def selection_mode(arch: Arch) -> str:
     return "relation-direct" if arch.has_relation_head else "domain-direct"
 
 
+# The weight gradients are products over all training frames, whose last
+# bits change with the BLAS thread count above 512 frames.
+@single_blas_thread()
 def train(
     cfg: TrainConfig,
     train_set: Sequence[SocialSequence],
     val_set: Sequence[SocialSequence],
 ) -> TrainResult:
-    """Full-batch training, deterministic given (cfg, data).
+    """Full-batch training, deterministic given (cfg, data) whatever the
+    core count: it runs BLAS on one thread.
 
     Augments the training side first when cfg.augment_multiplier > 0, then
     runs `iterations` epochs of mean-gradient Adam steps, evaluating
@@ -276,14 +281,14 @@ def train(
     best_iter = -1
     n = len(train_seqs)
     labels_cache = [(int(s.domain), int(s.relation)) for s in train_seqs]
-    workspace = {name: np.empty_like(arr) for name, arr in arrays.items()}
+    grad_sum = GradientSum(model, sum(len(s.frames) for s in train_seqs), n)
     for it in range(cfg.iterations):
         for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise TrainingDiverged(
                     f"non-finite parameters in {name!r} at iteration {it}", history)
         lr = lr_schedule(it, cfg)
-        total = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        grad_sum.clear()
         loss_sum = 0.0
         # CE terms per sequence; the L2 term and its gradient are identical
         # for every sequence, so they are added once to the mean.
@@ -291,18 +296,12 @@ def train(
         for seq, labels, mask in zip(train_seqs, labels_cache, masks):
             out = forward(model, seq.frames, mask)
             loss_sum += joint_loss(out, labels, weights, 0.0, model)
-            grads = backward(model, out.trace, labels, weights, 0.0, out=workspace)
-            for name, g in grads.items():
-                total[name] += g
+            backward(model, out.trace, labels, weights, 0.0, out=grad_sum)
         mean_loss = loss_sum / n + l2_penalty(model.weight_matrices(), cfg.l2)
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(f"non-finite loss at iteration {it}", history)
-        for name, arr in arrays.items():
-            total[name] /= n
-            if cfg.l2 and name.endswith(".w"):
-                total[name] += cfg.l2 * arr
         try:
-            adam_step(arrays, total, state, lr)
+            adam_step(arrays, grad_sum.gradients(cfg.l2), state, lr)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{exc} at iteration {it}", history) from None
 

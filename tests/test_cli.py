@@ -12,10 +12,19 @@ from helpers import MALFORMED_RAW, UNPICKLED_MARKER, write_raw_corpus
 from socialseq import numerics
 from socialseq.cli import build_parser, main
 from socialseq.container import MAGIC, read_container, write_container
-from socialseq.dataset import Dataset, LayoutManifest, ManifestEntry, load_dataset, save_dataset
+from socialseq.dataset import (
+    Dataset,
+    LayoutManifest,
+    ManifestEntry,
+    ValidationError,
+    load_dataset,
+    save_dataset,
+    sequences_in_groups,
+)
 from socialseq.features import AugmentConfig
 from socialseq.model import load_model
 from socialseq.splits import load_split_suite
+from socialseq.synth import SynthConfig, generate_raw_corpus
 from socialseq.training import TrainConfig
 
 
@@ -365,21 +374,33 @@ class TestAugmentCommand:
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """augment fits a 459-wide PCA, whose eigh changes its last bits with
-        the OpenBLAS thread count unless the CLI pins BLAS to one thread."""
+        the OpenBLAS thread count unless the CLI pins BLAS to one thread;
+        so do a hidden-128 train's weight-gradient products over more than
+        512 frames."""
         src = Path(__file__).resolve().parent.parent / "src"
-        augmented = []
+        outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 filter(None, [str(src), os.environ.get("PYTHONPATH")])))
             ds, aug = tmp_path / f"corpus-{threads}.dat", tmp_path / f"aug-{threads}.dat"
+            splits, model = tmp_path / f"splits-{threads}.json", tmp_path / f"model-{threads}.bin"
             for argv in (["synth", "--out", ds, "--sequences", 60, "--users", 3,
                           "--days-per-user", 2, "--min-len", 5, "--max-len", 8, "--seed", 0],
-                         ["augment", "--dataset", ds, "--out", aug, "--seed", 0]):
+                         ["augment", "--dataset", ds, "--out", aug, "--seed", 0],
+                         ["split", "--dataset", aug, "--out", splits, "--candidates", 16,
+                          "--cv", 2, "--seed", 0],
+                         ["train", "--dataset", aug, "--split", splits, "--out", model,
+                          "--arch", "mt-td", "--hidden", 128, "--iterations", 2, "--seed", 0]):
                 proc = subprocess.run([sys.executable, "-m", "socialseq.cli", *map(str, argv)],
                                       env=env, capture_output=True, text=True, timeout=300)
                 assert proc.returncode == 0, proc.stderr
-            augmented.append(aug.read_bytes())
-        assert augmented[0] == augmented[1]
+            history = Path(f"{model}.history.jsonl")
+            outputs.append((aug.read_bytes(), model.read_bytes(), history.read_bytes()))
+        aug_ds = load_dataset(tmp_path / "aug-1.dat")
+        train_groups = load_split_suite(tmp_path / "splits-1.json").inner[0].train_groups
+        assert sum(s.frames.shape[0] for s in sequences_in_groups(
+            aug_ds.by_group(), train_groups)) > 512
+        assert outputs[0] == outputs[1]
 
     def test_exits_1_when_blas_cannot_be_pinned(self, tmp_path, monkeypatch, capsys):
         """a numpy with no bundled OpenBLAS (conda, distro, Accelerate) gets
@@ -423,6 +444,25 @@ class TestIngest:
         assert run(["ingest", "--raw-dir", raw, "--out", a]) == 0
         assert run(["ingest", "--raw-dir", raw, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("width", [49, 0, -3])
+    def test_raw_cnn_width_below_the_manifest_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, width):
+        assert run(["synth", "--out", tmp_path / "ds.dat", "--raw-dir", tmp_path / "raw",
+                    "--raw-cnn-width", width, "--sequences", "10", "--seed", "6"]) == 2
+        assert f"--raw-cnn-width {width}" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match="at least 50 wide"):
+            generate_raw_corpus(SynthConfig(n_sequences=4), tmp_path / "raw",
+                                raw_cnn_width=width)
+        assert not any(tmp_path.iterdir())
+
+    def test_raw_cnn_width_at_the_manifest_width_ingests(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--raw-dir", raw, "--raw-cnn-width", "50", "--sequences", "12",
+                    "--users", "2", "--days-per-user", "2", "--min-len", "5",
+                    "--max-len", "7", "--seed", "5"]) == 0
+        assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat"]) == 0
+        assert load_dataset(tmp_path / "x.dat").manifest.total_width == 459
 
     def test_inconsistent_label_rejected(self, tmp_path):
         raw = tmp_path / "raw"

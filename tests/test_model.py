@@ -7,6 +7,7 @@ from socialseq.dataset import ValidationError
 from socialseq.model import (
     Arch,
     DenseParams,
+    GradientSum,
     LstmParams,
     ModelParams,
     backward,
@@ -360,8 +361,9 @@ def reference_lstm_forward(params, a):
     return hs[-1], (gates, cs, tcs, hs)
 
 
-def reference_lstm_backward(params, a, ref_trace, d_h_last):
-    """BPTT written out plainly, gate by gate, for the reference forward."""
+def reference_lstm_backward(params, ref_trace, d_h_last):
+    """BPTT written out plainly, gate by gate, for the reference forward;
+    returns each timestep's gate gradient dz [T, 4h]."""
     gates, cs, tcs, hs = ref_trace
     t_len, h = hs.shape
     dz_all = np.empty((t_len, 4 * h))
@@ -379,9 +381,54 @@ def reference_lstm_backward(params, a, ref_trace, d_h_last):
         dz[3 * h:] = (dc * i) * (1.0 - g * g)
         dh = params.u.T @ dz
         dc = dc * f
-    dw = dz_all.T @ a
-    du = dz_all[1:].T @ hs[:-1] if t_len > 1 else np.zeros_like(params.u)
-    return dw, du, dz_all.sum(axis=0), dz_all @ params.w
+    return dz_all
+
+
+def reference_backward(model, trace, labels, weights, l2):
+    """One sequence's gradients as plain per-sequence products: outer
+    products for the heads, the reference BPTT's dz for the LSTM, products
+    over the sequence's own timesteps for the weights."""
+    h = model.hidden
+    grads = {}
+    d_hdrop = np.zeros(h)
+    dz_domain = np.zeros(5)
+
+    def ce_grad(probs, label, w):
+        scale = w[label] * probs[label] / (probs[label] + 1e-12)
+        dz = scale * probs
+        dz[label] -= scale
+        return dz
+
+    if model.head_relation is not None:
+        dz_rel = ce_grad(trace.relation_probs, labels[1], weights["relation"])
+        grads["head_relation.w"] = np.multiply.outer(dz_rel, trace.relation_input)
+        grads["head_relation.b"] = dz_rel
+        d_rel_in = model.head_relation.w.T @ dz_rel
+        d_hdrop += d_rel_in[:h]
+        if model.arch is Arch.MT_TD:
+            dp, pd = d_rel_in[h:], trace.domain_probs
+            dz_domain += pd * (dp - np.dot(dp, pd))
+    if model.head_domain is not None:
+        dz_domain += ce_grad(trace.domain_probs, labels[0], weights["domain"])
+        grads["head_domain.w"] = np.multiply.outer(dz_domain, trace.h_drop)
+        grads["head_domain.b"] = dz_domain
+        d_hdrop += model.head_domain.w.T @ dz_domain
+
+    a = trace.lstm.inputs
+    _, ref_trace = reference_lstm_forward(model.lstm, a)
+    d_h_last = d_hdrop * trace.dropout_mask if trace.dropout_mask is not None else d_hdrop
+    dz = reference_lstm_backward(model.lstm, ref_trace, d_h_last)
+    hs = ref_trace[3]
+    grads["lstm.w"] = dz.T @ a
+    grads["lstm.u"] = dz[1:].T @ hs[:-1] if len(dz) > 1 else np.zeros_like(model.lstm.u)
+    grads["lstm.b"] = dz.sum(axis=0)
+    d_pre = (dz @ model.lstm.w) * (a > 0)
+    grads["fc_in.w"] = d_pre.T @ trace.x
+    grads["fc_in.b"] = d_pre.sum(axis=0)
+    for name, arr in model.named_arrays():
+        if l2 and name.endswith(".w"):
+            grads[name] += l2 * arr
+    return grads
 
 
 def assert_same_bits(actual, expected):
@@ -391,8 +438,10 @@ def assert_same_bits(actual, expected):
 
 
 class TestKernelOracle:
-    """The LSTM kernels give exactly the bits of the plain per-gate loops:
-    same floating-point operations in the same order, sign bits included.
+    """The LSTM kernels, and the products one sequence's gradients are
+    formed from, give exactly the bits of the plain per-gate loops and
+    per-sequence products: same floating-point operations in the same
+    order, sign bits included.
 
     A kernel that reassociates sums (a batched recurrence, say) cannot keep
     this; such a change replaces the equality with the C01 finite-difference
@@ -420,15 +469,102 @@ class TestKernelOracle:
         if scale > 1.0:
             assert np.any((trace.gates == 0.0) | (trace.gates == 1.0))  # saturated
 
-        grads = lstm_backward(params, trace, d_h_last)
-        ref_grads = reference_lstm_backward(params, a, ref_trace, d_h_last)
-        for got, want in zip(grads, ref_grads):
-            assert_same_bits(got, want)
+        assert_same_bits(lstm_backward(params, trace, d_h_last),
+                         reference_lstm_backward(params, ref_trace, d_h_last))
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    @pytest.mark.parametrize("t_len", [1, 2, 9])
+    @pytest.mark.parametrize("hidden", [3, 16, 128])
+    def test_one_sequence_gradients_are_the_per_sequence_products(self, arch, t_len, hidden):
+        model = random_model(arch, 50 + t_len, hidden=hidden)
+        rng = Rng(hidden + t_len)
+        frames = rng.normal(size=(t_len, 6))
+        frames[::3, :3] = 0.0
+        trace = forward(model, frames, (rng.uniform(size=hidden) >= 0.3) / 0.7).trace
+        labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
+        weights = {"domain": class_weights(rng.integers(1, 9, size=5)),
+                   "relation": class_weights(rng.integers(1, 9, size=9))}
+        for l2 in (1e-3, 0.0):
+            got = backward(model, trace, labels, weights, l2)
+            want = reference_backward(model, trace, labels, weights, l2)
+            assert list(got) == [name for name, _ in model.named_arrays()]
+            for name, grad in got.items():
+                if l2:
+                    assert_same_bits(grad, want[name])
+                else:
+                    # The head products sum from +0, so where a dropped unit
+                    # makes an outer-product entry -0 they give +0; every
+                    # value is equal, and any l2 > 0 adds over the sign.
+                    assert np.array_equal(grad, want[name])
+
+
+class TestGradientSum:
+    """`backward(..., out=sum)` over many sequences: `gradients` is the
+    mean of the one-sequence gradients plus the L2 term, formed with one
+    product per weight matrix."""
+
+    @staticmethod
+    def batch(arch, seed, lengths, hidden=5):
+        model = random_model(arch, seed, hidden=hidden)
+        rng = Rng(seed + 1)
+        cases = []
+        for t_len in lengths:
+            frames = rng.normal(size=(t_len, 6))
+            mask = (rng.uniform(size=hidden) >= 0.3) / 0.7
+            labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
+            cases.append((frames, mask, labels))
+        return model, cases
+
+    @staticmethod
+    def summed(model, cases, weights):
+        grad_sum = GradientSum(model, sum(len(frames) for frames, _, _ in cases), len(cases))
+        for frames, mask, labels in cases:
+            trace = forward(model, frames, mask).trace
+            assert backward(model, trace, labels, weights, 0.0, out=grad_sum) is None
+        return grad_sum
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    @pytest.mark.parametrize("weights", [UNIT_WEIGHTS, DOMAIN_ONLY, RELATION_ONLY],
+                             ids=["unit", "domain-only", "relation-only"])
+    def test_equals_the_mean_of_one_sequence_calls(self, arch, weights):
+        model, cases = self.batch(arch, 80, (3, 1, 9, 1, 5, 2))
+        grad_sum = self.summed(model, cases, weights)
+        assert (grad_sum.sequences, grad_sum.frames) == (6, 21)
+        want = {name: np.zeros_like(arr) for name, arr in model.named_arrays()}
+        for frames, mask, labels in cases:
+            trace = forward(model, frames, mask).trace
+            for name, grad in backward(model, trace, labels, weights, 0.0).items():
+                want[name] += grad
+        got = grad_sum.gradients(1e-3)
+        assert list(got) == list(want)
+        for name, arr in model.named_arrays():
+            mean = want[name] / len(cases) + (1e-3 * arr if name.endswith(".w") else 0.0)
+            np.testing.assert_allclose(got[name], mean, rtol=1e-12,
+                                       atol=1e-12 * np.abs(mean).max())
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    def test_mean_loss_matches_finite_differences(self, arch):
+        model, cases = self.batch(arch, 90, (4, 1, 6), hidden=4)
+        rng = Rng(91)
+        weights = {"domain": class_weights(rng.integers(1, 9, size=5)),
+                   "relation": class_weights(rng.integers(1, 9, size=9))}
+        grad_sum = self.summed(model, cases, weights)
+        numeric = {name: np.zeros_like(arr) for name, arr in model.named_arrays()}
+        for frames, mask, labels in cases:
+            fd = finite_difference_grads(model, frames, labels, weights, 1e-3, mask=mask)
+            for name, grad in fd.items():
+                numeric[name] += grad / len(cases)
+        assert_grads_close(grad_sum.gradients(1e-3), numeric)
+
+    def test_an_empty_sum_has_no_gradients(self):
+        with pytest.raises(ValueError, match="no sequence"):
+            GradientSum(random_model(Arch.MT_TD, 1), 4, 1).gradients(0.0)
 
 
 class TestGradientBuffers:
-    """`backward(..., out=)` writes every gradient into the caller's arrays
-    and gives exactly the bits of a call that allocates its own."""
+    """A `GradientSum` keeps its buffers across `clear`: what a reused sum
+    gives is exactly the bits of a fresh one, and of a `backward` call that
+    makes its own."""
 
     @staticmethod
     def case(arch, t_len, seed):
@@ -439,37 +575,40 @@ class TestGradientBuffers:
         labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
         return model, out.trace, labels
 
-    @staticmethod
-    def nan_buffers(model):
-        return {name: np.full_like(arr, np.nan) for name, arr in model.named_arrays()}
-
     @pytest.mark.parametrize("arch", list(Arch))
     @pytest.mark.parametrize("t_len", [1, 2, 9])
     def test_out_is_bit_identical_to_fresh(self, arch, t_len):
         model, trace, labels = self.case(arch, t_len, 60 + t_len)
+        _, other_trace, other_labels = self.case(arch, 12 - t_len, 70 + t_len)
+        grad_sum = GradientSum(model, 11, 1)
         for weights in (UNIT_WEIGHTS, DOMAIN_ONLY, RELATION_ONLY):
             fresh = backward(model, trace, labels, weights, 1e-3)
-            buffers = self.nan_buffers(model)
-            arrays = dict(buffers)
-            got = backward(model, trace, labels, weights, 1e-3, out=buffers)
-            assert got is buffers
-            assert got.keys() == fresh.keys()
+            grad_sum.clear()
+            backward(model, other_trace, other_labels, weights, 0.0, out=grad_sum)
+            grad_sum.gradients(1e-3)
+            grad_sum.clear()
+            assert backward(model, trace, labels, weights, 0.0, out=grad_sum) is None
+            got = grad_sum.gradients(1e-3)
+            assert list(got) == list(fresh)
             for name, grad in got.items():
-                assert grad is arrays[name]
                 assert_same_bits(grad, fresh[name])
 
     @pytest.mark.parametrize("arch", list(Arch))
     def test_single_step_after_long_sequence_on_same_buffers(self, arch):
         model, long_trace, long_labels = self.case(arch, 9, 70)
-        _, short_trace, short_labels = self.case(arch, 1, 71)
-        buffers = self.nan_buffers(model)
-        backward(model, long_trace, long_labels, UNIT_WEIGHTS, 0.0, out=buffers)
-        assert np.abs(buffers["lstm.u"]).max() > 0.0
-        got = backward(model, short_trace, short_labels, UNIT_WEIGHTS, 0.0, out=buffers)
-        fresh = backward(model, short_trace, short_labels, UNIT_WEIGHTS, 0.0)
+        grad_sum = GradientSum(model, 9, 3)
+        backward(model, long_trace, long_labels, UNIT_WEIGHTS, 0.0, out=grad_sum)
+        assert np.abs(grad_sum.gradients(0.0)["lstm.u"]).max() > 0.0
+        grad_sum.clear()
+        fresh = GradientSum(model, 3, 3)
+        for seed in (71, 72, 73):
+            _, short_trace, short_labels = self.case(arch, 1, seed)
+            for target in (grad_sum, fresh):
+                backward(model, short_trace, short_labels, UNIT_WEIGHTS, 0.0, out=target)
+        got = grad_sum.gradients(0.0)
         assert not got["lstm.u"].any()  # h_{-1} = 0, so a T=1 sequence has dU = 0
-        for name, grad in got.items():
-            assert_same_bits(grad, fresh[name])
+        for name, grad in fresh.gradients(0.0).items():
+            assert_same_bits(got[name], grad)
 
 
 class TestSerialization:

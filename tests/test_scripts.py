@@ -1,10 +1,13 @@
 """Smoke runs of the experiment scripts under scripts/ at tiny sizes: each
-must exit 0."""
+must exit 0. The paired-benchmark summary is checked on fixed numbers."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +46,30 @@ def test_artifact_digests_repeat(tmp_path):
                      "report-relation-direct.json", "report-domain-inferred.json",
                      "pred.jsonl", "rows.jsonl", "cli-output.txt"):
         assert artifact in named
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metrics = [{"name": "fps", "unit": "frames/s", "better": "higher", "bound": 0.25},
+               {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.1},
+               {"name": "absent", "unit": "s", "better": "lower", "bound": 0.1}]
+    base = [{"fps": v, "job_s": s} for v, s in [(100, 1.0), (110, 2.0), (90, 1.0), (100, 1.5)]]
+    head = [{"fps": v, "job_s": s} for v, s in [(120, 1.0), (110, 1.5), (99, 0.5), (130, 2.0)]]
+    summary = bench_pairs.summarize(base, head, metrics)
+    assert list(summary) == ["fps", "job_s"]
+    fps, job = summary["fps"], summary["job_s"]
+    # inclusive quartiles of (90, 100, 100, 110) and (99, 110, 120, 130)
+    assert (fps["base"]["q1"], fps["base"]["median"], fps["base"]["q3"]) == (97.5, 100, 102.5)
+    assert (fps["head"]["q1"], fps["head"]["median"], fps["head"]["q3"]) == (107.25, 115, 122.5)
+    assert fps["change"] == pytest.approx(0.15)
+    assert (fps["wins"], fps["losses"], fps["pairs"]) == (3, 0, 4)  # the tie counts for neither
+    assert fps["base_iqr_ratio"] == pytest.approx(0.05) and not fps["unresolved"]
+    # lower is better: 2 wins, 1 tie, 1 loss; base IQR 0.625 on a median of 1.25
+    assert (job["wins"], job["losses"]) == (2, 1)
+    assert job["change"] == pytest.approx(0.0)
+    assert job["base_iqr_ratio"] == pytest.approx(0.5) and job["unresolved"]
+    assert "unresolved" in bench_pairs.render(summary).splitlines()[2]
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(base, head[:3], metrics)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from socialseq import numerics
 from socialseq.dataset import SocialSequence, sequences_in_groups
 from socialseq.model import Arch, init_params, save_model
 from socialseq.numerics import Rng
@@ -200,6 +201,29 @@ class TestTrain:
         save_model(pa, a.model)
         save_model(pb, b.model)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_runs_blas_on_one_thread_and_restores_the_count(self, monkeypatch):
+        """its weight-gradient products over more than 512 frames change
+        their last bits with the thread count, so `train` pins one thread
+        itself and a library caller gets the CLI's bytes."""
+        tr, va, _ = split_corpus(tiny_corpus())
+        blas = numerics._openblas()
+        seen = []
+        real_step = training_mod.adam_step
+
+        def adam_step(*args):
+            seen.append(blas.scipy_openblas_get_num_threads64_())
+            return real_step(*args)
+
+        monkeypatch.setattr(training_mod, "adam_step", adam_step)
+        before = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(2)
+        try:
+            train(TrainConfig(arch=Arch.ST_REL, hidden=8, iterations=2, seed=0), tr, va)
+            assert blas.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            blas.scipy_openblas_set_num_threads64_(before)
+        assert seen == [1, 1]
 
     def test_snapshot_is_argmax_of_history(self):
         tr, va, _ = split_corpus(tiny_corpus(seed=1))
