@@ -215,7 +215,7 @@ def cmd_ingest(args) -> int:
             explained = float(pca.explained_variance_ratio.sum())
             low = " (below target)" if explained < VARIANCE_TARGET else ""
             print(f"{e.name:<18} {pca.n_features:>5} {e.width:>5} {explained:>13.1%}{low}")
-        else:  # assembly checked that a pass-through block has its manifest width
+        else:  # compress_attribute checked that a pass-through block has its manifest width
             print(f"{e.name:<18} {e.width:>5} {e.width:>5} {'pass-through':>14}")
     print(f"total width: {ds.manifest.total_width}")
 

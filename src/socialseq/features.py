@@ -42,6 +42,8 @@ class AugmentConfig:
             raise ValidationError("sigma must be >= 0")
         if self.multiplier < 0:
             raise ValidationError("multiplier must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def quantize(x: np.ndarray, quant_levels: int) -> np.ndarray:

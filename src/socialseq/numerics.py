@@ -152,9 +152,10 @@ class PcaModel:
 def pca_fit(x, k: int) -> PcaModel:
     """Fit a k-component PCA of the rows of x (sample covariance, n-1).
 
-    Uses the d x d covariance eigendecomposition when d <= n and the
-    n x n Gram trick otherwise; component signs are fixed so the first
-    nonzero coordinate of each axis is positive.
+    Eigendecomposes the d x d covariance, whatever the shape of x. When
+    d > n, the axes past the data's rank have zero variance and eigh
+    still returns them orthonormal. Component signs are fixed so the
+    first nonzero coordinate of each axis is positive.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -167,27 +168,11 @@ def pca_fit(x, k: int) -> PcaModel:
     mean = x.mean(axis=0)
     xc = x - mean
     total_var = float((xc * xc).sum()) / (n - 1)
-
-    if d <= n:
-        cov = (xc.T @ xc) / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1][:k]
-        eigenvalues = np.clip(evals[order], 0.0, None)
-        components = np.ascontiguousarray(evecs[:, order].T)
-    else:
-        gram = (xc @ xc.T) / (n - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1][:k]
-        eigenvalues = np.clip(evals[order], 0.0, None)
-        components = np.zeros((k, d))
-        for i in range(k):
-            lam = eigenvalues[i]
-            if lam > 1e-12:
-                v = xc.T @ evecs[:, order[i]]
-                components[i] = v / np.linalg.norm(v)
-        components = _complete_zero_rows(components)
-
-    components = _fix_signs(components)
+    cov = (xc.T @ xc) / (n - 1)
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals)[::-1][:k]
+    eigenvalues = np.clip(evals[order], 0.0, None)
+    components = _fix_signs(evecs[:, order].T)
     if total_var > 0.0:
         ratio = eigenvalues / total_var
     else:
@@ -210,32 +195,4 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
-    return out
-
-
-def _complete_zero_rows(components: np.ndarray) -> np.ndarray:
-    """Fill all-zero rows (zero-variance axes from the Gram path) with a
-    deterministic orthonormal completion against the standard basis."""
-    out = components.copy()
-    zero_rows = [i for i in range(out.shape[0]) if not np.any(np.abs(out[i]) > 1e-12)]
-    if not zero_rows:
-        return out
-    basis = [out[i] for i in range(out.shape[0]) if i not in zero_rows]
-    d = out.shape[1]
-    e = 0
-    for i in zero_rows:
-        while e < d:
-            v = np.zeros(d)
-            v[e] = 1.0
-            e += 1
-            for b in basis:
-                v -= np.dot(v, b) * b
-            norm = np.linalg.norm(v)
-            if norm > 1e-8:
-                v /= norm
-                out[i] = v
-                basis.append(v)
-                break
-        else:
-            raise ValueError("cannot complete orthonormal basis")
     return out

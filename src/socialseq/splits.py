@@ -257,6 +257,8 @@ def select_splits(
     score."""
     if n_candidates < 1 or k < 1:
         raise ValidationError(f"n_candidates and k must be >= 1, got {n_candidates} and {k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     groups = group_by_user_day(sequences)
     if len(groups) < 3:
         raise ValidationError("need at least 3 (user, day) groups to split twice")

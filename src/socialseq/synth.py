@@ -90,6 +90,8 @@ class SynthConfig(Record):
             raise ValidationError("noise, domain_sep and relation_sep must be >= 0")
         if self.within_style not in WITHIN_STYLES:
             raise ValidationError(f"within_style must be one of {WITHIN_STYLES}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _within_domain_index(relation: Relation) -> int:

@@ -73,6 +73,8 @@ class TrainConfig(Record):
             raise ValidationError("dropout must be in [0, 1)")
         if self.l2 < 0 or self.augment_sigma < 0 or self.augment_multiplier < 0:
             raise ValidationError("l2, augment_sigma and augment_multiplier must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
@@ -185,7 +187,7 @@ def evaluate(model: ModelParams, sequences: Sequence[SocialSequence], mode: str)
         raise ValueError("cannot evaluate an empty dataset")
     head, level = EVAL_MODES[mode]
     if head not in model.arch.tasks:
-        raise ValueError(f"mode {mode!r} needs a {head} head ({model.arch.value})")
+        raise ValidationError(f"mode {mode!r} needs a {head} head ({model.arch.value})")
 
     truths = []
     preds = []

@@ -87,6 +87,21 @@ class TestSynthAndSplit:
         assert err.startswith("validation error") and names in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--raw-dir", "OUT", "--sequences", 10],
+        ["split", "--dataset", "DATASET", "--out", "OUT", "--candidates", 8],
+        ["augment", "--dataset", "DATASET", "--out", "OUT"],
+        ["train", "--dataset", "DATASET", "--split", "SPLITS", "--out", "OUT",
+         "--hidden", 4, "--iterations", 1],
+        ["benchmark", "--dataset", "DATASET", "--split", "SPLITS", "--out", "OUT",
+         "--hidden", 4, "--iterations", 1],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2_and_writes_nothing(self, workdir, tmp_path, capsys, argv):
+        assert run(fill(argv + ["--seed", -1], workdir, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and "seed must be >= 0, got -1" in err
+        assert not any(tmp_path.iterdir())
+
     def test_split_rejects_unknown_relation_in_dataset(self, workdir, tmp_path):
         header, arrays = read_container(workdir["dataset"])
         header["records"][0]["relation"] = "strangers"
@@ -146,6 +161,18 @@ class TestTrainEval:
             report = json.loads(out.read_text())
             n = 9 if mode == "relation-direct" else 5
             assert len(report["confusion"]) == n
+
+    def test_eval_mode_without_its_head_exits_2(self, workdir, tmp_path, capsys):
+        model = tmp_path / "st-rel.bin"
+        assert run(["train", "--dataset", workdir["dataset"], "--split", workdir["splits"],
+                    "--out", model, "--arch", "st-rel", "--hidden", "4",
+                    "--iterations", "1"]) == 0
+        out = tmp_path / "report.json"
+        assert run(["eval", "--model", model, "--dataset", workdir["dataset"],
+                    "--mode", "domain-direct", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and "needs a domain head" in err
+        assert not out.exists()
 
     def test_train_determinism_byte_identical(self, workdir, tmp_path):
         args = ["--dataset", workdir["dataset"], "--split", workdir["splits"],

@@ -174,9 +174,9 @@ class TestPca:
         rhs = 2 * (z @ m.components + m.mean - m.mean)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
-    def test_gram_path_matches_svd_oracle(self):
+    def test_wide_data_matches_svd_oracle(self):
         rng = Rng(5)
-        x = rng.normal(size=(6, 15))  # d > n exercises the Gram trick
+        x = rng.normal(size=(6, 15))  # d > n: fewer rows than columns
         m = pca_fit(x, 4)
         xc = x - x.mean(axis=0)
         _, s, vt = np.linalg.svd(xc, full_matrices=False)
@@ -184,6 +184,17 @@ class TestPca:
         assert np.allclose(m.eigenvalues, eig[:4], atol=1e-10)
         for row, ref in zip(m.components, vt[:4]):
             assert min(np.abs(row - ref).max(), np.abs(row + ref).max()) < 1e-8
+
+    def test_wide_rank_deficient_axes_stay_orthonormal(self):
+        # 4 rows of rank 2 in 10 columns, k = 4 > rank: the last two axes
+        # carry no variance, yet must complete an orthonormal set that the
+        # fit rows do not project onto
+        rng = Rng(10)
+        x = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 10))
+        m = pca_fit(x, 4)
+        assert np.abs(m.components @ m.components.T - np.eye(4)).max() < 1e-8
+        assert np.all(m.eigenvalues[2:] <= 1e-12)
+        assert np.abs(pca_transform(m, x)[:, 2:]).max() <= 1e-10
 
     def test_cov_path_matches_svd_oracle(self):
         rng = Rng(6)
