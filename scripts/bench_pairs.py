@@ -4,10 +4,12 @@
     python scripts/bench_pairs.py --base HEAD --workload train-h128 --seed 11 29 \
         --pairs 10 --out BENCH_n.json
 
-Exports the base revision with `git archive` into a temporary directory and
-runs the same `socialbench/run.py` invocation from it and from the working
-tree, once each per pair, alternating which side goes first so that host
-drift falls on both sides alike. Pair i uses seed i mod the --seed list.
+Exports the base revision with `git archive` into one temporary directory,
+and copies the working tree's files (tracked and untracked but not ignored,
+as they are on disk) into another, so that both sides run from fresh copies.
+It runs the same `socialbench/run.py` invocation from each, once per pair,
+alternating which side goes first so that host drift falls on both sides
+alike. Pair i uses seed i mod the --seed list.
 For every end-to-end metric in BENCHMARK.json it prints and writes both
 sides' median and quartiles, the change of the medians, the pairs the
 working tree wins (ties count for neither side), and "unresolved" where the
@@ -17,6 +19,7 @@ bound: such a metric cannot show a change within the bound.
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,6 +97,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def export_working_tree(repo: Path, dest: Path) -> None:
+    """Copy into `dest` the files that git lists for the working tree of
+    `repo` (tracked, and untracked but not ignored) with their on-disk
+    contents, skipping listed files that are gone from disk."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=repo, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (repo / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, dest / name)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -115,12 +131,13 @@ def main():
     seconds = bench["run_seconds"]  # the benchmark's run length, the same on both sides
     base_rev = git("rev-parse", args.base)
     runs = {"base": [], "head": []}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_dir = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-head-") as head_tmp:
+        checkouts = {"base": Path(base_tmp), "head": Path(head_tmp)}
         archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive, check=True)
-        checkouts = {"base": base_dir, "head": ROOT}
+        subprocess.run(["tar", "-x", "-C", base_tmp], input=archive, check=True)
+        export_working_tree(ROOT, checkouts["head"])
         for i in range(args.pairs):
             seed = args.seed[i % len(args.seed)]
             order = ("base", "head") if i % 2 == 0 else ("head", "base")

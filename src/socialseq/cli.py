@@ -3,8 +3,8 @@ benchmark, synth.
 
 Configuration comes from flags and optional JSON config files only (no
 environment variables), every command runs with BLAS on one thread, and
-every artifact embeds the config hash, seed and toolkit version so runs
-are reproducible byte for byte. Exit codes:
+every artifact embeds its run's `container.provenance` (config hash, seed,
+toolkit version) so runs are reproducible byte for byte. Exit codes:
 0 success; 2 for a missing, unreadable or damaged input file or an
 out-of-range flag value; 1 for a runtime or write failure.
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from socialseq import __version__
-from socialseq.container import config_hash, read_json, write_container, write_json, write_jsonl
+from socialseq.container import provenance, read_json, write_container, write_json, write_jsonl
 from socialseq.dataset import (
     Dataset,
     SocialSequence,
@@ -191,14 +191,12 @@ def cmd_synth(args) -> int:
         relation_sep=args.relation_sep, noise=args.noise,
         within_style=args.within_style, seed=args.seed,
     )
-    run_hash = config_hash({"command": "synth", **cfg.to_json()})
-    if args.raw_dir:  # first: it refuses a too narrow --raw-cnn-width before writing
+    if args.raw_dir:  # first: it refuses a corpus ingest cannot compress before writing
         generate_raw_corpus(cfg, args.raw_dir, raw_cnn_width=args.raw_cnn_width)
         print(f"wrote raw corpus under {args.raw_dir}")
     if args.out:
         ds = generate_corpus(cfg)
-        ds.meta.update({"config_hash": run_hash, "seed": cfg.seed,
-                        "toolkit_version": __version__})
+        ds.meta.update(provenance(cfg.seed, {"command": "synth", **cfg.to_json()}))
         save_dataset(args.out, ds)
         print(f"wrote {args.out}: {len(ds.sequences)} sequences, "
               f"width {ds.manifest.total_width}")
@@ -219,17 +217,13 @@ def cmd_ingest(args) -> int:
             print(f"{e.name:<18} {e.width:>5} {e.width:>5} {'pass-through':>14}")
     print(f"total width: {ds.manifest.total_width}")
 
-    run_hash = config_hash({
-        "command": "ingest", "quant_levels": args.quant_levels,
-        "split": bool(args.split), "manifest_hash": ds.manifest.hash,
-    })
-    ds.meta.update({"config_hash": run_hash, "seed": 0, "toolkit_version": __version__})
+    run = provenance(0, {"command": "ingest", "quant_levels": args.quant_levels,
+                         "split": bool(args.split), "manifest_hash": ds.manifest.hash})
+    ds.meta.update(run)
     save_dataset(args.out, ds)
     pca_path = args.pca_out or f"{args.out}.pca"
-    write_container(pca_path, {
-        "kind": "pca-bank", "format": 1, "toolkit_version": __version__,
-        "manifest_hash": ds.manifest.hash, "config_hash": run_hash, "seed": 0,
-        "attributes": list(pcas),
+    write_container(pca_path, "pca-bank", {
+        **run, "manifest_hash": ds.manifest.hash, "attributes": list(pcas),
     }, [(f"{name}/{f.name}", getattr(pca, f.name))
         for name, pca in pcas.items() for f in dataclasses.fields(PcaModel)])
     print(f"wrote {args.out} and {pca_path}")
@@ -248,13 +242,9 @@ def cmd_split(args) -> int:
         ]
     suite = select_splits(sequences, n_candidates=args.candidates, k=args.cv,
                           ratio=args.ratio, seed=args.seed)
-    run_hash = config_hash({
+    save_split_suite(args.out, suite, meta=provenance(args.seed, {
         "command": "split", "candidates": args.candidates, "cv": args.cv,
-        "ratio": args.ratio, "seed": args.seed,
-    })
-    save_split_suite(args.out, suite, meta={
-        "config_hash": run_hash, "seed": args.seed, "toolkit_version": __version__,
-    })
+        "ratio": args.ratio, "seed": args.seed}))
     flag = "" if suite.outer.ratio_ok else "  [outside ratio tolerance]"
     print(f"outer split: {suite.outer.train_size}/{suite.outer.val_size} sequences, "
           f"ratio {suite.outer.achieved_ratio:.3f}, KL {suite.outer.kl_score:.6f}{flag}")
@@ -274,11 +264,9 @@ def cmd_augment(args) -> int:
         targets = list(ds.sequences)
     cfg = _config_from_args(AugmentConfig, args)
     new = augment(targets, cfg, Rng(cfg.seed).split("augment"))
-    run_hash = config_hash({"command": "augment", **dataclasses.asdict(cfg),
-                            "split": bool(args.split)})
     out_ds = Dataset(manifest=ds.manifest, sequences=list(ds.sequences) + new,
-                     meta={"config_hash": run_hash, "seed": cfg.seed,
-                           "toolkit_version": __version__})
+                     meta=provenance(cfg.seed, {"command": "augment", **dataclasses.asdict(cfg),
+                                                "split": bool(args.split)}))
     save_dataset(args.out, out_ds)
     print(f"wrote {args.out}: {len(ds.sequences)} original + {len(new)} augmented")
     return EXIT_OK
@@ -290,18 +278,17 @@ def cmd_train(args) -> int:
     train_seqs = _side_sequences(ds, suite, "cv-train", args.cv_index)
     val_seqs = _side_sequences(ds, suite, "cv-val", args.cv_index)
     cfg = _config_from_args(TrainConfig, args)
-    run_hash = config_hash({"command": "train", "cv_index": args.cv_index,
-                            "split_seed": suite.seed, **cfg.to_json()})
+    run = provenance(cfg.seed, {"command": "train", "cv_index": args.cv_index,
+                                "split_seed": suite.seed, **cfg.to_json()})
     result = train(cfg, train_seqs, val_seqs)
     save_model(args.out, result.model, manifest_hash=ds.manifest.hash,
-               config_hash=run_hash, seed=cfg.seed,
+               config_hash=run["config_hash"], seed=cfg.seed,
                meta={"best_iteration": result.best_iteration,
                      "best_selection": result.best_selection,
                      "cv_index": args.cv_index})
     history_path = args.history or f"{args.out}.history.jsonl"
     write_jsonl(history_path, {
-        "config_hash": run_hash, "seed": cfg.seed, "toolkit_version": __version__,
-        "config": cfg.to_json(), "best_iteration": result.best_iteration,
+        **run, "config": cfg.to_json(), "best_iteration": result.best_iteration,
         "best_selection": result.best_selection,
     }, (rec.to_json() for rec in result.history))
     print(f"trained {cfg.arch.value} on cv[{args.cv_index}]: best iteration "
@@ -368,12 +355,10 @@ def cmd_benchmark(args) -> int:
     rows = benchmark_suite(cfg, ds.by_group(), suite, masks)
     table = render_benchmark_table(rows)
     print(table)
-    run_hash = config_hash({"command": "benchmark", "groups": args.groups,
-                            "split_seed": suite.seed, **cfg.to_json()})
     if args.out:
-        write_jsonl(args.out, {"config_hash": run_hash, "seed": cfg.seed,
-                               "toolkit_version": __version__},
-                    (row.to_json() for row in rows))
+        write_jsonl(args.out, provenance(cfg.seed, {
+            "command": "benchmark", "groups": args.groups, "split_seed": suite.seed,
+            **cfg.to_json()}), (row.to_json() for row in rows))
         print(f"wrote {args.out}")
     if args.table_out:
         Path(args.table_out).write_text(table + "\n")

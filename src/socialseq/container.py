@@ -18,6 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
+from socialseq import __version__
+
 MAGIC = b"#socialseq-container v1\n"
 
 
@@ -53,8 +55,10 @@ def sha256_hex(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def config_hash(config: dict) -> str:
-    return sha256_hex(canonical_json(config))
+def provenance(seed: int, config: dict) -> dict:
+    """What every artifact embeds about its run: the config's hash, the seed, the version."""
+    return {"config_hash": sha256_hex(canonical_json(config)), "seed": seed,
+            "toolkit_version": __version__}
 
 
 def read_json(path) -> dict:
@@ -80,8 +84,9 @@ def write_jsonl(path, header: dict, rows: Iterable[dict]) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def write_container(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
-    """Write header metadata plus named float64 arrays in the given order."""
+def write_container(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
+    """Write `header`, stamped with `kind`, format and toolkit version unless it
+    gives them itself, plus named float64 arrays in the given order."""
     entries = []
     blobs = []
     offset = 0
@@ -90,15 +95,11 @@ def write_container(path, header: dict, arrays: list[tuple[str, np.ndarray]]) ->
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(blob)
         offset += len(blob)
-    full_header = dict(header)
-    full_header["arrays"] = entries
-    encoded = canonical_json(full_header).encode("utf-8")
+    encoded = canonical_json({"kind": kind, "format": 1, "toolkit_version": __version__,
+                              **header, "arrays": entries}).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(encoded).to_bytes(8, "little"))
-        fh.write(encoded)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(MAGIC + len(encoded).to_bytes(8, "little") + encoded)
+        fh.writelines(blobs)
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -9,7 +9,6 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from socialseq import __version__
 from socialseq.container import (
     Record,
     ValidationError,
@@ -238,18 +237,14 @@ def save_dataset(path, ds: Dataset) -> None:
             }
         )
         arrays.append((f"frames/{s.id}", s.frames))
-    header = {
-        "kind": "dataset",
-        "format": 1,
-        "toolkit_version": __version__,
+    write_container(path, "dataset", {
         "taxonomy_version": TAXONOMY_VERSION,
         "feature_width": ds.manifest.total_width,
         "manifest": ds.manifest.to_json(),
         "manifest_hash": ds.manifest.hash,
         "meta": ds.meta,
         "records": records,
-    }
-    write_container(path, header, arrays)
+    }, arrays)
 
 
 def load_dataset(path) -> Dataset:

@@ -59,6 +59,14 @@ def quantize(x: np.ndarray, quant_levels: int) -> np.ndarray:
     return np.round(scaled * (quant_levels - 1)) / (quant_levels - 1)
 
 
+def check_components(entry: ManifestEntry, frames: int, dim: int) -> None:
+    """Refuse a CNN entry that PCA fitted on `frames` rows of `dim` columns
+    cannot compress to its manifest width."""
+    if entry.width > min(frames, dim):
+        raise ValidationError(
+            f"block {entry.name!r}: k={entry.width} exceeds min(frames={frames}, dim={dim})")
+
+
 def compress_attribute(
     entry: ManifestEntry, data: np.ndarray, quant_levels: int, fit_rows=None,
 ) -> tuple[np.ndarray, PcaModel | None]:
@@ -77,11 +85,7 @@ def compress_attribute(
         return data, None
     q = quantize(data, quant_levels)
     rows = q if fit_rows is None else q[fit_rows]
-    if entry.width > min(rows.shape):
-        raise ValidationError(
-            f"block {entry.name!r}: k={entry.width} exceeds min(frames={rows.shape[0]}, "
-            f"dim={rows.shape[1]})"
-        )
+    check_components(entry, *rows.shape)
     model = pca_fit(rows, entry.width)
     return pca_transform(model, q), model
 

@@ -24,7 +24,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from socialseq import __version__
 from socialseq.container import read_container, write_container
 from socialseq.dataset import ValidationError
 from socialseq.numerics import Rng, relu, softmax
@@ -498,10 +497,7 @@ def _backward_into(model: ModelParams, trace: ForwardTrace, labels: tuple[int, i
 
 def save_model(path, model: ModelParams, *, manifest_hash: str = "",
                config_hash: str = "", seed: int = 0, meta: dict | None = None) -> None:
-    header = {
-        "kind": "model",
-        "format": 1,
-        "toolkit_version": __version__,
+    write_container(path, "model", {
         "arch": model.arch.value,
         "input_dim": model.input_dim,
         "hidden": model.hidden,
@@ -509,8 +505,7 @@ def save_model(path, model: ModelParams, *, manifest_hash: str = "",
         "config_hash": config_hash,
         "seed": seed,
         "meta": meta or {},
-    }
-    write_container(path, header, list(model.named_arrays()))
+    }, list(model.named_arrays()))
 
 
 def load_model(path, *, expect_manifest_hash: str | None = None) -> tuple[ModelParams, dict]:

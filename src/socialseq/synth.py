@@ -26,6 +26,7 @@ from socialseq.dataset import (
     SocialSequence,
     save_manifest,
 )
+from socialseq.features import check_components
 from socialseq.numerics import Rng
 from socialseq.taxonomy import Relation, domain_of, relations_in
 
@@ -167,17 +168,15 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
     frames stacked in record order. The raw CNN blocks carry the same
     class structure in `raw_cnn_width` dimensions so ingest's compression
     keeps the signal; it must be at least the manifest's CNN width, which
-    ingest compresses them to.
+    ingest compresses them to, and so must the corpus's frame count. Either
+    is refused before anything is written.
     """
-    need = max(e.width for e in default_manifest().entries if e.is_cnn)
+    manifest = default_manifest()
+    need = max(e.width for e in manifest.entries if e.is_cnn)
     if raw_cnn_width < need:
         raise ValidationError(
             f"--raw-cnn-width {raw_cnn_width}: raw CNN blocks must be at least {need} wide, "
             f"the width ingest compresses them to")
-    out_dir = Path(out_dir)
-    blocks_dir = out_dir / "blocks"
-    blocks_dir.mkdir(parents=True, exist_ok=True)
-    save_manifest(out_dir / "manifest.json", default_manifest())
     raw_attrs = [(name, raw_cnn_width) for name in CNN_ATTRIBUTES] + [("proximity", 2)]
     stacks: dict[str, list[np.ndarray]] = {name: [] for name, _ in raw_attrs}
     records = []
@@ -193,6 +192,14 @@ def generate_raw_corpus(cfg: SynthConfig, out_dir, raw_cnn_width: int = 64) -> N
             "wearer": {"age": age, "gender": gender},
             "frames": len(blocks["proximity"]),
         })
+    n_frames = sum(r["frames"] for r in records)
+    for e in manifest.entries:
+        if e.is_cnn:
+            check_components(e, n_frames, raw_cnn_width)
+    out_dir = Path(out_dir)
+    blocks_dir = out_dir / "blocks"
+    blocks_dir.mkdir(parents=True, exist_ok=True)
+    save_manifest(out_dir / "manifest.json", manifest)
     for name, parts in stacks.items():
         np.save(blocks_dir / f"{name}.npy", np.concatenate(parts))
     write_json(out_dir / "sequences.json", {"sequences": records, "synth_config": cfg.to_json()})

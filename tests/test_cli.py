@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import MALFORMED_RAW, UNPICKLED_MARKER, write_raw_corpus
 
-from socialseq import numerics
+from socialseq import __version__, numerics
 from socialseq.cli import build_parser, main
 from socialseq.container import MAGIC, read_container, write_container
 from socialseq.dataset import (
@@ -106,7 +106,7 @@ class TestSynthAndSplit:
         header, arrays = read_container(workdir["dataset"])
         header["records"][0]["relation"] = "strangers"
         bad = tmp_path / "bad.dat"
-        write_container(bad, header, list(arrays.items()))
+        write_container(bad, header["kind"], header, list(arrays.items()))
         assert run(["split", "--dataset", bad, "--out", tmp_path / "s.json",
                     "--candidates", "8"]) == 2
 
@@ -119,18 +119,50 @@ class TestSynthAndSplit:
 
     def test_artifacts_embed_provenance(self, workdir, tmp_path):
         # config hash + seed + toolkit version in every artifact kind
-        ds = load_dataset(workdir["dataset"])
-        for key in ("config_hash", "seed", "toolkit_version"):
-            assert key in ds.meta
-        suite_meta = json.loads(open(workdir["splits"]).read())["meta"]
-        for key in ("config_hash", "seed", "toolkit_version"):
-            assert key in suite_meta
-        _, header = load_model(workdir["model"])
-        for key in ("config_hash", "seed", "toolkit_version"):
-            assert key in header
-        history_meta = json.loads(open(str(workdir["model"]) + ".history.jsonl").readline())
-        for key in ("config_hash", "seed", "toolkit_version"):
-            assert key in history_meta
+        raw = write_raw_corpus(tmp_path / "raw")
+        commands = [
+            ["ingest", "--raw-dir", raw, "--out", tmp_path / "ingested.dat"],
+            ["augment", "--dataset", workdir["dataset"], "--split", workdir["splits"],
+             "--out", tmp_path / "aug.dat", "--multiplier", "1", "--seed", "3"],
+            ["benchmark", "--dataset", workdir["dataset"], "--split", workdir["splits"],
+             "--out", tmp_path / "rows.jsonl", "--hidden", "4", "--iterations", "1",
+             "--seed", "2"],
+            ["eval", "--model", workdir["model"], "--dataset", workdir["dataset"],
+             "--out", tmp_path / "report.json"],
+            ["predict", "--model", workdir["model"], "--dataset", workdir["dataset"],
+             "--out", tmp_path / "pred.jsonl"],
+        ]
+        for argv in commands:
+            assert run(argv) == 0
+
+        def first_line(path):
+            return json.loads(open(path).readline())
+
+        _, model_header = load_model(workdir["model"])
+        ingested = load_dataset(tmp_path / "ingested.dat").meta
+        pca_header, _ = read_container(tmp_path / "ingested.dat.pca")
+        runs = {
+            "dataset": load_dataset(workdir["dataset"]).meta,
+            "split": json.loads(open(workdir["splits"]).read())["meta"],
+            "model": model_header,
+            "history": first_line(str(workdir["model"]) + ".history.jsonl"),
+            "ingested": ingested,
+            "pca-bank": pca_header,
+            "augmented": load_dataset(tmp_path / "aug.dat").meta,
+            "rows": first_line(tmp_path / "rows.jsonl"),
+        }
+        for name, meta in runs.items():
+            assert meta["toolkit_version"] == __version__, name
+            assert len(meta["config_hash"]) == 64, name
+            assert isinstance(meta["seed"], int), name
+        assert pca_header["config_hash"] == ingested["config_hash"]
+        assert runs["augmented"]["seed"] == 3 and runs["rows"]["seed"] == 2
+        # eval and predict name the model's run, not a run of their own
+        for meta in (json.loads((tmp_path / "report.json").read_text())["meta"],
+                     first_line(tmp_path / "pred.jsonl")):
+            assert meta["model_config_hash"] == model_header["config_hash"]
+            assert meta["seed"] == model_header["seed"]
+            assert meta["toolkit_version"] == __version__
 
 
 class TestTrainEval:
@@ -283,7 +315,7 @@ class TestDamagedContainer:
     def rewrite(src, dst, edit):
         header, arrays = read_container(src)
         edit(header, arrays)
-        write_container(dst, header, list(arrays.items()))
+        write_container(dst, header["kind"], header, list(arrays.items()))
         return dst
 
     @pytest.mark.parametrize("case, edit, names", DAMAGED_MODELS,
@@ -483,6 +515,22 @@ class TestIngest:
                                 raw_cnn_width=width)
         assert not any(tmp_path.iterdir())
 
+    def test_fewer_frames_than_components_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # 6 sequences of 2-5 frames draw 25 frames, too few for ingest's 50 components
+        assert run(["synth", "--out", tmp_path / "ds.dat", "--raw-dir", tmp_path / "raw",
+                    "--sequences", "6", "--min-len", "2", "--max-len", "5",
+                    "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error")
+        assert "block 'activities': k=50 exceeds min(frames=25, dim=64)" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_as_many_frames_as_components_ingests(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert run(["synth", "--raw-dir", raw, "--sequences", "10", "--min-len", "5",
+                    "--max-len", "5", "--seed", "0"]) == 0
+        assert run(["ingest", "--raw-dir", raw, "--out", tmp_path / "x.dat"]) == 0
+
     def test_raw_cnn_width_at_the_manifest_width_ingests(self, tmp_path):
         raw = tmp_path / "raw"
         assert run(["synth", "--raw-dir", raw, "--raw-cnn-width", "50", "--sequences", "12",
@@ -494,7 +542,7 @@ class TestIngest:
     def test_inconsistent_label_rejected(self, tmp_path):
         raw = tmp_path / "raw"
         assert run(["synth", "--raw-dir", raw, "--sequences", "10", "--seed", "6",
-                    "--min-len", "2", "--max-len", "3"]) == 0
+                    "--min-len", "5", "--max-len", "6"]) == 0
         seq_path = raw / "sequences.json"
         meta = json.loads(seq_path.read_text())
         meta["sequences"][0]["relation"] = "lovers"
@@ -505,7 +553,7 @@ class TestIngest:
     def test_unknown_relation_label_rejected(self, tmp_path):
         raw = tmp_path / "raw"
         assert run(["synth", "--raw-dir", raw, "--sequences", "10", "--seed", "6",
-                    "--min-len", "2", "--max-len", "3"]) == 0
+                    "--min-len", "5", "--max-len", "6"]) == 0
         seq_path = raw / "sequences.json"
         meta = json.loads(seq_path.read_text())
         meta["sequences"][0]["relation"] = "strangers"
@@ -516,7 +564,7 @@ class TestIngest:
         raw = tmp_path / "raw"
         splits_path = tmp_path / "splits.json"
         assert run(["synth", "--raw-dir", raw, "--sequences", "12", "--users", "2",
-                    "--days-per-user", "2", "--min-len", "2", "--max-len", "3",
+                    "--days-per-user", "2", "--min-len", "5", "--max-len", "6",
                     "--seed", "7"]) == 0
         assert run(["split", "--sequences", raw / "sequences.json",
                     "--out", splits_path, "--candidates", "16", "--cv", "2",

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from socialseq.container import read_container, write_container
+from socialseq import __version__
+from socialseq.container import MAGIC, read_container, write_container
 from socialseq.dataset import (
     Dataset,
     LayoutManifest,
@@ -29,7 +30,7 @@ class TestContainer:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.bin"
         arrays = [("a", np.arange(6, dtype=float).reshape(2, 3)), ("b", np.zeros(4))]
-        write_container(path, {"kind": "x", "n": 1}, arrays)
+        write_container(path, "x", {"n": 1}, arrays)
         header, loaded = read_container(path)
         assert header["kind"] == "x" and header["n"] == 1
         assert np.array_equal(loaded["a"], arrays[0][1])
@@ -40,6 +41,30 @@ class TestContainer:
         path.write_bytes(b"not a container")
         with pytest.raises(ValueError):
             read_container(path)
+
+    def test_stamps_kind_format_and_toolkit_version(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, "x", {"n": 1}, [("a", np.ones(2))])
+        header, _ = read_container(path)
+        assert header == {"kind": "x", "format": 1, "toolkit_version": __version__, "n": 1}
+
+    def test_header_fields_win_over_the_stamp(self, tmp_path):
+        path = tmp_path / "c.bin"
+        given = {"kind": "given", "format": 7, "toolkit_version": "0.0.0"}
+        write_container(path, "x", given, [])
+        assert read_container(path)[0] == given
+
+    def test_bytes_equal_a_hand_built_header(self, tmp_path):
+        stamped, built = tmp_path / "stamped.bin", tmp_path / "built.bin"
+        arrays = [("a", np.arange(6, dtype=float).reshape(2, 3)), ("b", np.zeros(4))]
+        write_container(stamped, "x", {"n": 1}, arrays)
+        header = json.dumps({"n": 1, "kind": "x", "toolkit_version": __version__, "format": 1,
+                             "arrays": [{"name": "a", "shape": [2, 3], "offset": 0},
+                                        {"name": "b", "shape": [4], "offset": 48}]},
+                            sort_keys=True, separators=(",", ":")).encode()
+        built.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header
+                          + b"".join(arr.astype("<f8").tobytes() for _, arr in arrays))
+        assert stamped.read_bytes() == built.read_bytes()
 
 
 class TestManifest:
@@ -115,9 +140,7 @@ class TestDatasetIO:
         # only exist in a (hand-crafted) file, never in memory.
         manifest = default_manifest()
         path = tmp_path / "bad.bin"
-        write_container(path, {
-            "kind": "dataset",
-            "format": 1,
+        write_container(path, "dataset", {
             "manifest": manifest.to_json(),
             "manifest_hash": manifest.hash,
             "meta": {},

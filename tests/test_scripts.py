@@ -48,10 +48,15 @@ def test_artifact_digests_repeat(tmp_path):
         assert artifact in named
 
 
-def test_bench_pairs_summary_on_fixed_numbers():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    bench_pairs = load_bench_pairs()
     metrics = [{"name": "fps", "unit": "frames/s", "better": "higher", "bound": 0.25},
                {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.1},
                {"name": "absent", "unit": "s", "better": "lower", "bound": 0.1}]
@@ -73,3 +78,31 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert "unresolved" in bench_pairs.render(summary).splitlines()[2]
     with pytest.raises(ValueError):
         bench_pairs.summarize(base, head[:3], metrics)
+
+
+def test_bench_pairs_exports_the_working_tree_as_on_disk(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "sub").mkdir(parents=True)
+    dest.mkdir()
+    files = {".gitignore": "ignored.txt\n", "edited.txt": "committed\n",
+             "deleted.txt": "committed\n", "sub/kept.txt": "committed\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("edited on disk\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "sub" / "untracked.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+
+    load_bench_pairs().export_working_tree(repo, dest)
+    exported = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert exported == [".gitignore", "edited.txt", "sub/kept.txt", "sub/untracked.txt"]
+    assert (dest / "edited.txt").read_text() == "edited on disk\n"
+    assert (dest / "sub" / "untracked.txt").read_text() == "new\n"
