@@ -8,6 +8,11 @@ Stack: per-frame FC + ReLU -> LSTM -> dropout on the final hidden state
   mt-td            the relation head additionally reads the domain head's
                    softmax output (soft, differentiable coupling)
 
+Only the recurrence runs in time order: `input_projections` computes the
+FC + ReLU output and the gates' input projection of any number of frames
+with one product per layer, and `forward` runs one sequence's recurrence
+and heads on its rows.
+
 `backward` is a hand-rolled BPTT that matches the loss exactly, including
 the gradient path from the relation loss through the domain softmax in
 mt-td. It is checked against central finite differences in the tests. It
@@ -161,6 +166,14 @@ _ONE = np.array(1.0)
 _GATE_STATE_ROW = np.array([0, 0, 1, 0])
 
 
+def _affine(x: np.ndarray, layer: DenseParams | LstmParams,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """x·wᵀ + b for every row of x, into `out` when given."""
+    out = np.matmul(x, layer.w.T, out=out)
+    out += layer.b
+    return out
+
+
 @dataclass(eq=False)
 class LstmTrace:
     inputs: np.ndarray  # [T, in]
@@ -170,13 +183,17 @@ class LstmTrace:
     h: np.ndarray  # hidden states
 
 
-def lstm_forward(params: LstmParams, inputs) -> tuple[np.ndarray, LstmTrace]:
+def lstm_forward(params: LstmParams, inputs, gates: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, LstmTrace]:
     """Run the LSTM recurrence from zero initial state; returns the final
     hidden state and the per-timestep activations needed for backprop.
 
-    Each timestep activates its row of the precomputed input projection in
-    place and writes c, tanh(c) and h straight into the trace, a fixed
-    handful of whole-row numpy calls per step."""
+    `gates` [T, 4h], when given, is the input projection of `inputs`
+    already computed (rows of `input_projections` over packed frames); the
+    recurrence overwrites it with the gate activations, and the trace
+    keeps it. Each timestep activates its row of the projection in place
+    and writes c, tanh(c) and h straight into the trace, a fixed handful of
+    whole-row numpy calls per step."""
     a = np.asarray(inputs, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected [T, in] inputs, got shape {a.shape}")
@@ -185,7 +202,10 @@ def lstm_forward(params: LstmParams, inputs) -> tuple[np.ndarray, LstmTrace]:
     if a.shape[1] != params.input_dim:
         raise ValueError(f"input width {a.shape[1]} != lstm input {params.input_dim}")
     t_len, h = a.shape[0], params.hidden
-    gates = a @ params.w.T + params.b  # input contribution for all t at once
+    if gates is None:
+        gates = _affine(a, params)
+    elif gates.shape != (t_len, 4 * h):
+        raise ValueError(f"projected gates {gates.shape} != {(t_len, 4 * h)}")
     cs, tcs, hs = np.empty((3, t_len, h))
     rec = np.empty(4 * h)
     ig = np.empty(h)
@@ -277,21 +297,57 @@ class HeadOutputs:
     trace: ForwardTrace
 
 
-def forward(model: ModelParams, frames, dropout_mask: np.ndarray | None = None) -> HeadOutputs:
-    """Forward pass over one sequence, a pure function of its arguments.
-
-    A given `dropout_mask` [h] multiplies the final hidden state (training
-    draws it with inverted scaling, `training.dropout_masks`); without one
-    this is the eval-mode pass.
-    """
+def _check_frames(model: ModelParams, frames) -> np.ndarray:
+    """One sequence's frames as a float64 [T, input_dim] array, T >= 1."""
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected a nonempty [T, {model.input_dim}] array, got {x.shape}")
     if x.shape[1] != model.input_dim:
         raise ValueError(f"frame width {x.shape[1]} != model input {model.input_dim}")
-    a = x @ model.fc_in.w.T + model.fc_in.b
+    return x
+
+
+def pack_frames(model: ModelParams, frame_arrays) -> tuple[np.ndarray, list[slice]]:
+    """Every sequence's frames stacked row-wise, each checked as `forward`
+    checks it, and each sequence's row slice of the stack."""
+    xs = [_check_frames(model, frames) for frames in frame_arrays]
+    ends = np.cumsum([len(x) for x in xs]).tolist()
+    return np.concatenate(xs), [slice(end - len(x), end) for x, end in zip(xs, ends)]
+
+
+def input_projections(model: ModelParams, x: np.ndarray,
+                      out: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-frame half of the forward pass, which no earlier timestep
+    feeds: A = relu(X·W_fcᵀ + b_fc) [N, h] and the gates' input projection
+    A·W_lstmᵀ + b_lstm [N, 4h], for any number N of frame rows at once,
+    written into `out` = (A, Z) buffers when given.
+
+    A row's last bits depend on N (BLAS picks its kernel by the row
+    count), so a sequence's rows of a packed pass may differ in the last
+    place from those of its own one-sequence `forward`."""
+    a_out, z_out = (None, None) if out is None else out
+    a = _affine(x, model.fc_in, a_out)
     relu(a, out=a)
-    h_last, lstm_trace = lstm_forward(model.lstm, a)
+    return a, _affine(a, model.lstm, z_out)
+
+
+def forward(model: ModelParams, frames, dropout_mask: np.ndarray | None = None, *,
+            projected: tuple[np.ndarray, np.ndarray] | None = None) -> HeadOutputs:
+    """Forward pass over one sequence, a pure function of its arguments
+    but for the `projected` rows it overwrites.
+
+    A given `dropout_mask` [h] multiplies the final hidden state (training
+    draws it with inverted scaling, `training.dropout_masks`); without one
+    this is the eval-mode pass. `projected` is the sequence's rows of
+    `input_projections` over packed frames, which the recurrence overwrites
+    with its gate activations; without it the pass projects its own frames.
+    """
+    x = _check_frames(model, frames)
+    a, z = input_projections(model, x) if projected is None else projected
+    if len(a) != len(x):
+        raise ValueError(f"{len(a)} projected rows for {len(x)} frames")
+    h_last, lstm_trace = lstm_forward(model.lstm, a, gates=z)
 
     h_drop = h_last if dropout_mask is None else h_last * dropout_mask
 
@@ -375,20 +431,27 @@ class GradientSum:
     which `gradients` forms the mean loss's gradients with one product per
     weight matrix.
 
-    Per frame it keeps the FC input x, the LSTM input a (the FC+ReLU
-    output), h_{t-1} (zero at t = 0) and the gate gradient dz; per sequence,
-    each head's logit gradient and input. Every gradient is linear in these:
-    lstm.w = dZᵀA, lstm.u = dZᵀH_{t-1}, fc_in.w = (dZ·W ∘ [A > 0])ᵀX and
-    head.w = dZ_headᵀ input, with column sums for the biases. The buffers
-    are sized once, for `sequences` sequences of `frames` frames in all;
-    `clear` empties the sum and keeps them, so a training loop reuses them
-    every iteration, and no trace is kept past its own `backward` call."""
+    `x` [N, in] and `a` [N, h] are the FC input and the LSTM input (the
+    FC+ReLU output) of every frame of the sequences to be added, packed in
+    the order they will be added (`pack_frames`, `input_projections`). The
+    sum reads them in `gradients` and copies neither, so a training loop
+    that refills `a` in place each iteration passes it once. Per frame the
+    sum keeps h_{t-1} (zero at t = 0) and the gate gradient dz; per
+    sequence, each head's logit gradient and input. Every gradient is
+    linear in these: lstm.w = dZᵀA, lstm.u = dZᵀH_{t-1}, fc_in.w =
+    (dZ·W ∘ [A > 0])ᵀX and head.w = dZ_headᵀ input, with column sums for the
+    biases. The buffers are sized once, for `sequences` sequences of N
+    frames in all; `clear` empties the sum and keeps them, so a training
+    loop reuses them every iteration, and no trace is kept past its own
+    `backward` call."""
 
-    def __init__(self, model: ModelParams, frames: int, sequences: int):
+    def __init__(self, model: ModelParams, x: np.ndarray, a: np.ndarray, sequences: int):
+        if len(a) != len(x):
+            raise ValueError(f"{len(a)} LSTM input rows for {len(x)} frames")
         self._model = model
+        self._x, self._a = x, a
         h = model.hidden
-        self._buffers = {"x": np.empty((frames, model.input_dim)), "a": np.empty((frames, h)),
-                         "h_prev": np.empty((frames, h)), "dz": np.empty((frames, 4 * h))}
+        self._buffers = {"h_prev": np.empty((len(x), h)), "dz": np.empty((len(x), 4 * h))}
         for layer in ("head_domain", "head_relation"):
             if getattr(model, layer) is not None:
                 n_out, n_in = getattr(model, layer).w.shape
@@ -401,12 +464,12 @@ class GradientSum:
         self.sequences = 0
 
     def add(self, trace: ForwardTrace, dz: np.ndarray, head_deltas: Mapping[str, np.ndarray]):
-        """Append one sequence: its trace, its `lstm_backward` dz and each
-        head layer's logit gradient."""
+        """Append the next sequence of the packing: its trace, its
+        `lstm_backward` dz and each head layer's logit gradient."""
         buf, f, s = self._buffers, self.frames, self.sequences
         end = f + len(dz)
-        buf["x"][f:end] = trace.x
-        buf["a"][f:end] = trace.lstm.inputs
+        if end > len(self._x):
+            raise ValueError(f"{end} frames added, {len(self._x)} packed")
         buf["h_prev"][f] = 0.0
         buf["h_prev"][f + 1:end] = trace.lstm.h[:-1]
         buf["dz"][f:end] = dz
@@ -421,8 +484,10 @@ class GradientSum:
         penalty, keyed and ordered as `model.named_arrays()`."""
         if not self.sequences:
             raise ValueError("no sequence has been added")
-        buf, model = self._buffers, self._model
-        x, a, h_prev, dz = (buf[name][:self.frames] for name in ("x", "a", "h_prev", "dz"))
+        if self.frames != len(self._x):
+            raise ValueError(f"{self.frames} frames added, {len(self._x)} packed")
+        buf, model, x, a = self._buffers, self._model, self._x, self._a
+        h_prev, dz = buf["h_prev"], buf["dz"]
         d_pre = dz @ model.lstm.w
         d_pre *= a > 0
         grads = {
@@ -456,12 +521,12 @@ def backward(
     into the domain head and the shared trunk. This computes the sequence's
     head deltas and BPTT dz and appends them to `out`, a sum for this model
     whose `gradients` adds the L2 term; a training loop passes one sum for
-    all its sequences. Without `out` it returns the one sequence's
-    gradients, L2 included."""
+    all its sequences, added in their packed order. Without `out` it
+    returns the one sequence's gradients, L2 included."""
     if out is not None:
         _backward_into(model, trace, labels, weights, out)
         return None
-    one = GradientSum(model, len(trace.x), 1)
+    one = GradientSum(model, trace.x, trace.lstm.inputs, 1)
     _backward_into(model, trace, labels, weights, one)
     return one.gradients(l2)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import hashlib
 from dataclasses import dataclass
@@ -59,7 +60,14 @@ _BUNDLED_LIB_DIRS = (Path(np.__file__).parent.parent / "numpy.libs",
 def _openblas() -> ctypes.CDLL:
     """numpy's bundled OpenBLAS, the library with the thread-count calls.
     OSError when there is none (conda, distro and Accelerate builds)."""
-    for folder in _BUNDLED_LIB_DIRS:
+    return _load_openblas(_BUNDLED_LIB_DIRS)
+
+
+# Globbing and loading cost more than the pin itself, which `evaluate`
+# enters on every call; a failed search is not cached.
+@functools.cache
+def _load_openblas(folders: tuple[Path, ...]) -> ctypes.CDLL:
+    for folder in folders:
         for lib in sorted(glob.glob(str(folder / "*openblas*"))):
             handle = ctypes.CDLL(lib)
             if hasattr(handle, "scipy_openblas_set_num_threads64_"):

@@ -23,8 +23,10 @@ from socialseq.model import (
     class_weights,
     forward,
     init_params,
+    input_projections,
     joint_loss,
     l2_penalty,
+    pack_frames,
 )
 from socialseq.numerics import Rng, single_blas_thread
 from socialseq.taxonomy import N_DOMAINS, N_RELATIONS, infer_domain_distribution
@@ -178,9 +180,14 @@ def report_from_predictions(truths: Sequence[int], preds: Sequence[int],
     )
 
 
+# The input projections are products over all the sequences' frames, whose
+# last bits change with the BLAS thread count.
+@single_blas_thread()
 def evaluate(model: ModelParams, sequences: Sequence[SocialSequence], mode: str) -> EvalReport:
     """Argmax predictions per sequence (lowest index wins ties) scored
-    against the taxonomy-wide class set for the chosen mode."""
+    against the taxonomy-wide class set for the chosen mode. The input
+    projections of all the frames are one product per layer; `forward`
+    runs each sequence's recurrence and heads on its rows."""
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if not sequences:
@@ -189,10 +196,12 @@ def evaluate(model: ModelParams, sequences: Sequence[SocialSequence], mode: str)
     if head not in model.arch.tasks:
         raise ValidationError(f"mode {mode!r} needs a {head} head ({model.arch.value})")
 
+    x, rows = pack_frames(model, [seq.frames for seq in sequences])
+    a, z = input_projections(model, x)
     truths = []
     preds = []
-    for seq in sequences:
-        out = forward(model, seq.frames)
+    for seq, sl in zip(sequences, rows):
+        out = forward(model, seq.frames, projected=(a[sl], z[sl]))
         probs = out.relation_probs if head == "relation" else out.domain_probs
         if head != level:
             probs = infer_domain_distribution(probs)
@@ -244,8 +253,8 @@ def selection_mode(arch: Arch) -> str:
     return "relation-direct" if arch.has_relation_head else "domain-direct"
 
 
-# The weight gradients are products over all training frames, whose last
-# bits change with the BLAS thread count above 512 frames.
+# The input projections and the weight gradients are products over all
+# training frames, whose last bits change with the BLAS thread count.
 @single_blas_thread()
 def train(
     cfg: TrainConfig,
@@ -255,10 +264,12 @@ def train(
     """Full-batch training, deterministic given (cfg, data) whatever the
     core count: it runs BLAS on one thread.
 
-    Augments the training side first when cfg.augment_multiplier > 0, then
-    runs `iterations` epochs of mean-gradient Adam steps, evaluating
-    validation macro-F1 after each step and returning the best snapshot
-    (ties resolved to the earliest iteration)."""
+    Augments the training side first when cfg.augment_multiplier > 0 and
+    packs its frames once, then runs `iterations` epochs of mean-gradient
+    Adam steps, evaluating validation macro-F1 after each step and
+    returning the best snapshot (ties resolved to the earliest iteration).
+    Each epoch projects the packed frames with one product per layer, into
+    buffers sized once, and runs `forward` per sequence on its rows."""
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
     rng = Rng(cfg.seed)
@@ -283,7 +294,10 @@ def train(
     best_iter = -1
     n = len(train_seqs)
     labels_cache = [(int(s.domain), int(s.relation)) for s in train_seqs]
-    grad_sum = GradientSum(model, sum(len(s.frames) for s in train_seqs), n)
+    x, rows = pack_frames(model, [s.frames for s in train_seqs])
+    a = np.empty((len(x), cfg.hidden))
+    z = np.empty((len(x), 4 * cfg.hidden))
+    grad_sum = GradientSum(model, x, a, n)
     for it in range(cfg.iterations):
         for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
@@ -295,8 +309,9 @@ def train(
         # CE terms per sequence; the L2 term and its gradient are identical
         # for every sequence, so they are added once to the mean.
         masks = dropout_masks(drop_rng, n, cfg.hidden, cfg.dropout)
-        for seq, labels, mask in zip(train_seqs, labels_cache, masks):
-            out = forward(model, seq.frames, mask)
+        input_projections(model, x, out=(a, z))
+        for seq, sl, labels, mask in zip(train_seqs, rows, labels_cache, masks):
+            out = forward(model, seq.frames, mask, projected=(a[sl], z[sl]))
             loss_sum += joint_loss(out, labels, weights, 0.0, model)
             backward(model, out.trace, labels, weights, 0.0, out=grad_sum)
         mean_loss = loss_sum / n + l2_penalty(model.weight_matrices(), cfg.l2)
@@ -371,13 +386,17 @@ def benchmark_suite(
     test metrics per (task, strategy, attribute subset).
 
     `masks` maps subset names to column index arrays; when given, an "ALL"
-    subset is (re)built as the union of the others. Cell failures are
-    recorded on their row and the rest of the grid still runs.
+    subset is (re)built as the union of the others. A subset with no
+    columns is a ValidationError. Cell failures are recorded on their row
+    and the rest of the grid still runs.
     """
     if masks is None:
         subset_cols: dict[str, np.ndarray | None] = {"ALL": None}
     else:
         subset_cols = {name: np.asarray(cols, dtype=np.intp) for name, cols in masks.items()}
+        empty = [name for name, cols in subset_cols.items() if cols.size == 0]
+        if empty:
+            raise ValidationError(f"attribute groups with no columns: {empty}")
         others = [set(c.tolist()) for n, c in subset_cols.items() if n != "ALL"]
         if others:  # ALL is always the union of the named subsets
             subset_cols["ALL"] = np.asarray(sorted(set().union(*others)), dtype=np.intp)

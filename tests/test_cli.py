@@ -666,6 +666,17 @@ class TestBenchmarkCommand:
         assert "REL-MT-TD/FACE" in table
 
 
+    def test_group_with_no_columns_exits_2(self, workdir, tmp_path, capsys):
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"FACE": [], "BODY": ["age-body"]}))
+        out = tmp_path / "rows.jsonl"
+        capsys.readouterr()
+        assert run(["benchmark", "--dataset", workdir["dataset"], "--split", workdir["splits"],
+                    "--hidden", "4", "--iterations", "1", "--groups", groups,
+                    "--out", out]) == 2
+        assert "['FACE']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_split_naming_unknown_group_rejected(self, workdir, tmp_path):
         suite = json.loads(open(workdir["splits"]).read())
         suite["outer"]["val_groups"].append(["zz", "zz"])

@@ -14,11 +14,13 @@ from socialseq.model import (
     class_weights,
     forward,
     init_params,
+    input_projections,
     joint_loss,
     l2_penalty,
     load_model,
     lstm_backward,
     lstm_forward,
+    pack_frames,
     save_model,
     weighted_cross_entropy,
 )
@@ -498,37 +500,44 @@ class TestKernelOracle:
                     assert np.array_equal(grad, want[name])
 
 
+def packed_pass(model, cases, weights):
+    """One training pass as `train` makes it: the cases' (frames, mask,
+    labels) packed, projected once, each sequence's `forward` on its rows
+    and its `backward` added to one sum; returns the sum and the outputs."""
+    x, rows = pack_frames(model, [frames for frames, _, _ in cases])
+    a, z = input_projections(model, x)
+    grad_sum = GradientSum(model, x, a, len(cases))
+    outs = []
+    for (frames, mask, labels), sl in zip(cases, rows):
+        out = forward(model, frames, mask, projected=(a[sl], z[sl]))
+        assert backward(model, out.trace, labels, weights, 0.0, out=grad_sum) is None
+        outs.append(out)
+    return grad_sum, outs
+
+
+def random_cases(model, seed, lengths):
+    rng = Rng(seed)
+    cases = []
+    for t_len in lengths:
+        frames = rng.normal(size=(t_len, model.input_dim))
+        mask = (rng.uniform(size=model.hidden) >= 0.3) / 0.7
+        labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
+        cases.append((frames, mask, labels))
+    return cases
+
+
 class TestGradientSum:
-    """`backward(..., out=sum)` over many sequences: `gradients` is the
-    mean of the one-sequence gradients plus the L2 term, formed with one
-    product per weight matrix."""
-
-    @staticmethod
-    def batch(arch, seed, lengths, hidden=5):
-        model = random_model(arch, seed, hidden=hidden)
-        rng = Rng(seed + 1)
-        cases = []
-        for t_len in lengths:
-            frames = rng.normal(size=(t_len, 6))
-            mask = (rng.uniform(size=hidden) >= 0.3) / 0.7
-            labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
-            cases.append((frames, mask, labels))
-        return model, cases
-
-    @staticmethod
-    def summed(model, cases, weights):
-        grad_sum = GradientSum(model, sum(len(frames) for frames, _, _ in cases), len(cases))
-        for frames, mask, labels in cases:
-            trace = forward(model, frames, mask).trace
-            assert backward(model, trace, labels, weights, 0.0, out=grad_sum) is None
-        return grad_sum
+    """`backward(..., out=sum)` over a packed training pass: `gradients` is
+    the mean of the one-sequence gradients plus the L2 term, formed with
+    one product per weight matrix."""
 
     @pytest.mark.parametrize("arch", list(Arch))
     @pytest.mark.parametrize("weights", [UNIT_WEIGHTS, DOMAIN_ONLY, RELATION_ONLY],
                              ids=["unit", "domain-only", "relation-only"])
     def test_equals_the_mean_of_one_sequence_calls(self, arch, weights):
-        model, cases = self.batch(arch, 80, (3, 1, 9, 1, 5, 2))
-        grad_sum = self.summed(model, cases, weights)
+        model = random_model(arch, 80, hidden=5)
+        cases = random_cases(model, 81, (3, 1, 9, 1, 5, 2))
+        grad_sum, _ = packed_pass(model, cases, weights)
         assert (grad_sum.sequences, grad_sum.frames) == (6, 21)
         want = {name: np.zeros_like(arr) for name, arr in model.named_arrays()}
         for frames, mask, labels in cases:
@@ -544,11 +553,12 @@ class TestGradientSum:
 
     @pytest.mark.parametrize("arch", list(Arch))
     def test_mean_loss_matches_finite_differences(self, arch):
-        model, cases = self.batch(arch, 90, (4, 1, 6), hidden=4)
+        model = random_model(arch, 90, hidden=4)
+        cases = random_cases(model, 91, (4, 1, 6))
         rng = Rng(91)
         weights = {"domain": class_weights(rng.integers(1, 9, size=5)),
                    "relation": class_weights(rng.integers(1, 9, size=9))}
-        grad_sum = self.summed(model, cases, weights)
+        grad_sum, _ = packed_pass(model, cases, weights)
         numeric = {name: np.zeros_like(arr) for name, arr in model.named_arrays()}
         for frames, mask, labels in cases:
             fd = finite_difference_grads(model, frames, labels, weights, 1e-3, mask=mask)
@@ -557,58 +567,114 @@ class TestGradientSum:
         assert_grads_close(grad_sum.gradients(1e-3), numeric)
 
     def test_an_empty_sum_has_no_gradients(self):
+        model = random_model(Arch.MT_TD, 1)
         with pytest.raises(ValueError, match="no sequence"):
-            GradientSum(random_model(Arch.MT_TD, 1), 4, 1).gradients(0.0)
+            GradientSum(model, np.zeros((4, 6)), np.zeros((4, 4)), 1).gradients(0.0)
+
+    def test_added_frames_must_be_the_packed_rows(self):
+        model = random_model(Arch.MT_TD, 2)
+        cases = random_cases(model, 3, (2, 3))
+        grad_sum, outs = packed_pass(model, cases[:1], UNIT_WEIGHTS)
+        with pytest.raises(ValueError, match="5 frames added, 2 packed"):
+            backward(model, forward(model, cases[1][0]).trace, (0, 0), UNIT_WEIGHTS, 0.0,
+                     out=grad_sum)
+        x, _ = pack_frames(model, [frames for frames, _, _ in cases])
+        short = GradientSum(model, x, input_projections(model, x)[0], 2)
+        backward(model, outs[0].trace, (0, 0), UNIT_WEIGHTS, 0.0, out=short)
+        with pytest.raises(ValueError, match="2 frames added, 5 packed"):
+            short.gradients(0.0)
+
+
+class TestPackedPass:
+    """`forward` on its rows of a projection over packed frames agrees
+    with the pass that projects the sequence alone."""
+
+    @pytest.mark.parametrize("arch", list(Arch))
+    def test_rows_agree_with_one_sequence_forward(self, arch):
+        model = random_model(arch, 100, input_dim=40, hidden=16)
+        cases = random_cases(model, 101, (3, 1, 9, 1, 5, 2, 30))
+        _, outs = packed_pass(model, cases, UNIT_WEIGHTS)
+        for (frames, mask, _), got in zip(cases, outs):
+            want = forward(model, frames, mask)
+            pairs = [(got.trace.lstm.h, want.trace.lstm.h),
+                     (got.trace.lstm.inputs, want.trace.lstm.inputs),
+                     (got.domain_probs, want.domain_probs),
+                     (got.relation_probs, want.relation_probs)]
+            for g, w in pairs:
+                if w is None:
+                    assert g is None
+                    continue
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    def test_pack_rejects_what_forward_rejects(self):
+        model = random_model(Arch.ST_REL, 9)
+        good = np.zeros((2, 6))
+        for bad, match in ((np.zeros((0, 6)), "nonempty"), (np.zeros((2, 7)), "frame width")):
+            with pytest.raises(ValueError, match=match):
+                forward(model, bad)
+            with pytest.raises(ValueError, match=match):
+                pack_frames(model, [good, bad])
+
+    def test_projected_rows_must_match_the_frames(self):
+        model = random_model(Arch.ST_REL, 9)
+        a, z = input_projections(model, np.zeros((3, 6)))
+        with pytest.raises(ValueError, match="3 projected rows for 2 frames"):
+            forward(model, np.zeros((2, 6)), projected=(a, z))
+        with pytest.raises(ValueError, match="projected gates"):
+            forward(model, np.zeros((2, 6)), projected=(a[:2], z[:1]))
 
 
 class TestGradientBuffers:
-    """A `GradientSum` keeps its buffers across `clear`: what a reused sum
-    gives is exactly the bits of a fresh one, and of a `backward` call that
-    makes its own."""
+    """A `GradientSum` keeps its buffers across `clear` and reads the
+    packed LSTM inputs that a training loop rewrites in place every
+    iteration: what a reused sum gives is exactly the bits of a fresh one,
+    and of a `backward` call that makes its own."""
 
     @staticmethod
-    def case(arch, t_len, seed):
-        model = random_model(arch, seed, hidden=5)
-        rng = Rng(seed + 1)
-        frames = rng.normal(size=(t_len, 6))
-        out = forward(model, frames, (rng.uniform(size=5) >= 0.3) / 0.7)
-        labels = (int(rng.integers(0, 5)), int(rng.integers(0, 9)))
-        return model, out.trace, labels
+    def reused(model, cases, weights):
+        """Two passes on one sum and one pair of projection buffers, as
+        `train` makes them, the parameters moved for the first one; the
+        second runs on the parameters the model came with."""
+        x, rows = pack_frames(model, [frames for frames, _, _ in cases])
+        a, z = np.empty((len(x), model.hidden)), np.empty((len(x), 4 * model.hidden))
+        grad_sum = GradientSum(model, x, a, len(cases))
+        saved = [arr.copy() for _, arr in model.named_arrays()]
+        rng = Rng(99)
+        for moved in (True, False):
+            for (_, arr), orig in zip(model.named_arrays(), saved):
+                arr[...] = orig + 0.1 * rng.normal(size=arr.shape) if moved else orig
+            grad_sum.clear()
+            input_projections(model, x, out=(a, z))
+            for (frames, mask, labels), sl in zip(cases, rows):
+                out = forward(model, frames, mask, projected=(a[sl], z[sl]))
+                backward(model, out.trace, labels, weights, 0.0, out=grad_sum)
+            got = grad_sum.gradients(1e-3)
+        return got
 
     @pytest.mark.parametrize("arch", list(Arch))
     @pytest.mark.parametrize("t_len", [1, 2, 9])
     def test_out_is_bit_identical_to_fresh(self, arch, t_len):
-        model, trace, labels = self.case(arch, t_len, 60 + t_len)
-        _, other_trace, other_labels = self.case(arch, 12 - t_len, 70 + t_len)
-        grad_sum = GradientSum(model, 11, 1)
+        model = random_model(arch, 60 + t_len, hidden=5)
+        cases = random_cases(model, 61 + t_len, (t_len,))
+        frames, mask, labels = cases[0]
         for weights in (UNIT_WEIGHTS, DOMAIN_ONLY, RELATION_ONLY):
-            fresh = backward(model, trace, labels, weights, 1e-3)
-            grad_sum.clear()
-            backward(model, other_trace, other_labels, weights, 0.0, out=grad_sum)
-            grad_sum.gradients(1e-3)
-            grad_sum.clear()
-            assert backward(model, trace, labels, weights, 0.0, out=grad_sum) is None
-            got = grad_sum.gradients(1e-3)
+            fresh = backward(model, forward(model, frames, mask).trace, labels, weights, 1e-3)
+            got = self.reused(model, cases, weights)
             assert list(got) == list(fresh)
             for name, grad in got.items():
                 assert_same_bits(grad, fresh[name])
 
     @pytest.mark.parametrize("arch", list(Arch))
     def test_single_step_after_long_sequence_on_same_buffers(self, arch):
-        model, long_trace, long_labels = self.case(arch, 9, 70)
-        grad_sum = GradientSum(model, 9, 3)
-        backward(model, long_trace, long_labels, UNIT_WEIGHTS, 0.0, out=grad_sum)
-        assert np.abs(grad_sum.gradients(0.0)["lstm.u"]).max() > 0.0
-        grad_sum.clear()
-        fresh = GradientSum(model, 3, 3)
-        for seed in (71, 72, 73):
-            _, short_trace, short_labels = self.case(arch, 1, seed)
-            for target in (grad_sum, fresh):
-                backward(model, short_trace, short_labels, UNIT_WEIGHTS, 0.0, out=target)
-        got = grad_sum.gradients(0.0)
-        assert not got["lstm.u"].any()  # h_{-1} = 0, so a T=1 sequence has dU = 0
-        for name, grad in fresh.gradients(0.0).items():
+        model = random_model(arch, 70, hidden=5)
+        cases = random_cases(model, 71, (9, 1, 1, 1))
+        got = self.reused(model, cases, UNIT_WEIGHTS)
+        assert np.abs(got["lstm.u"]).max() > 0.0
+        fresh, _ = packed_pass(model, cases, UNIT_WEIGHTS)
+        for name, grad in fresh.gradients(1e-3).items():
             assert_same_bits(got[name], grad)
+        # h_{-1} = 0, so T=1 sequences have dU = 0 after a long one too
+        assert not self.reused(model, cases[1:], UNIT_WEIGHTS)["lstm.u"].any()
 
 
 class TestSerialization:

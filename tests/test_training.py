@@ -268,9 +268,9 @@ class TestTrainCalls:
         counts = {"backward": 0, "evaluate": 0}
         real_forward = training_mod.forward
 
-        def forward(model, frames, dropout_mask=None):
+        def forward(model, frames, dropout_mask=None, **kwargs):
             masks.append(dropout_mask)
-            return real_forward(model, frames, dropout_mask)
+            return real_forward(model, frames, dropout_mask, **kwargs)
 
         def counted(name):
             real = getattr(training_mod, name)
@@ -337,6 +337,41 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(result.model, [], "relation-direct")
 
+    def test_runs_blas_on_one_thread_and_restores_the_count(self, monkeypatch):
+        """its input projections over all the sequences' frames change their
+        last bits with the thread count, so `evaluate` pins one thread
+        itself, as `train` does."""
+        tr, va, _ = split_corpus(tiny_corpus())
+        model = init_params(Arch.MT_TD, tr[0].frames.shape[1], 8, Rng(0))
+        blas = numerics._openblas()
+        seen = []
+        real_projections = training_mod.input_projections
+
+        def input_projections(*args, **kwargs):
+            seen.append(blas.scipy_openblas_get_num_threads64_())
+            return real_projections(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "input_projections", input_projections)
+        before = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(2)
+        try:
+            evaluate(model, va, "domain-inferred")
+            assert blas.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            blas.scipy_openblas_set_num_threads64_(before)
+        assert seen == [1]
+
+    @pytest.mark.parametrize("rows, extra_cols, message", [
+        (2, 1, "frame width"), (0, 0, "expected a nonempty")])
+    def test_a_misshapen_sequence_gets_forwards_message(self, rows, extra_cols, message):
+        seqs = tiny_corpus(seed=5).sequences[:3]
+        width = seqs[0].frames.shape[1]
+        model = init_params(Arch.ST_REL, width, 4, Rng(0))
+        # a stand-in: SocialSequence itself refuses a sequence with no frames
+        bad = SimpleNamespace(frames=np.zeros((rows, width + extra_cols)), relation=0, domain=0)
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, [seqs[0], bad, seqs[2]], "relation-direct")
+
     def test_inferred_equals_direct_when_heads_agree(self, monkeypatch):
         # Where the relation head is decisive (> 0.5 mass on one class,
         # which pins the inferred domain to that class's parent) and the
@@ -398,14 +433,31 @@ class TestEvaluate:
 
 
 class TestBenchmark:
-    def test_grid_rows_and_union_mask(self):
+    def test_grid_rows_and_union_mask(self, monkeypatch):
         ds = tiny_corpus(seed=6)
         _, _, suite = split_corpus(ds)
         cfg = TrainConfig(hidden=8, iterations=2, seed=0)
         cols_a = np.arange(0, 100)
         cols_b = np.arange(80, 459)
+        trained = []
+        real_train = training_mod.train
+
+        def spy(cfg, tr, va):
+            trained.append((tr, va))
+            return real_train(cfg, tr, va)
+
+        monkeypatch.setattr(training_mod, "train", spy)
         rows = benchmark_suite(cfg, ds.by_group(), suite,
                                masks={"A": cols_a, "B": cols_b})
+        # Each subset trains its 4 wirings on its own columns, in order A, B,
+        # ALL; ALL is the sorted union of the named subsets.
+        frames = {seq.id: seq.frames for seq in ds.sequences}
+        union = np.union1d(cols_a, cols_b)
+        assert len(trained) == 3 * 4 * len(suite.inner)
+        for i, (tr, va) in enumerate(trained):
+            cols = (cols_a, cols_b, union)[i // (4 * len(suite.inner))]
+            for seq in [*tr, *va]:
+                assert np.array_equal(seq.frames, frames[seq.id][:, cols])
         labels = {(r.task, r.strategy, r.subset) for r in rows}
         for task in ("REL", "DOM", "DOM-INF"):
             for strat in ("ST", "MT-IND", "MT-TD"):
